@@ -19,6 +19,7 @@ from .dataset import (
     correlation_screen,
     load_csv,
     make_holdout,
+    read_header,
     standardize,
     write_csv,
 )

@@ -11,9 +11,11 @@ Subcommands:
   robustness          cause-addition sweep with sign-flip detection
   compare-predictive  held-out MSE/MAE of causal vs non-causal regression
 
-Every run writes manifest.json recording the resolved parameters and a
-sha256 hash; reports embed the hash so tables are traceable to exact
-configs. Outputs are deterministic given the manifest (no timestamps).
+Every run writes manifest.json recording every parsed flag but --out
+(-k as `k_requested`), the resolved outcome kind and K, and a sha256
+hash; reports embed the hash so tables are traceable to exact configs.
+Outputs are deterministic given the manifest (no timestamps). Errors are
+labelled with the innermost package module that raised them.
 
 Exit codes: 0 success; 1 I/O or validation failure; 2 predictive-check
 gate failure; 3 numeric failure (rank deficiency, non-convergence).
@@ -22,22 +24,22 @@ gate failure; 3 numeric failure (rank deficiency, non-convergence).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     CauseMatrix,
+    CovariateMatrix,
     HoldoutMask,
+    OutcomeVector,
     check_overlap,
     correlation_screen,
     load_csv,
     make_holdout,
+    read_header,
     standardize,
     write_csv,
 )
@@ -46,14 +48,7 @@ from .effects import (
     estimate_effects_noncausal,
     predictive_comparison,
 )
-from .errors import (
-    MulticauseError,
-    NumericError,
-    ParseError,
-    PredictiveCheckFailed,
-    RankDeficiencyError,
-    ValidationError,
-)
+from .errors import MulticauseError, PredictiveCheckFailed, ValidationError
 from .imputation import MiceConfig, impute_mice
 from .mediation import mediate
 from .ppca import (
@@ -76,12 +71,9 @@ from .tables import (
 
 OUTPUT_DIR_ENV = "MULTICAUSE_OUTPUT_DIR"
 
-# stage label used to attribute errors to the module that raised them
-_stage = ["cli"]
 
-
-def _set_stage(name: str) -> None:
-    _stage[0] = name
+def _split(names: str | None) -> list[str]:
+    return [c for c in (names or "").split(",") if c]
 
 
 def _out_dir(args) -> str:
@@ -99,151 +91,128 @@ def _write_json(directory: str, name: str, payload) -> None:
     _write_text(directory, name, canonical_json(payload))
 
 
-def _manifest(command: str, parameters: dict) -> dict:
+def _finish(args, out: str, report: dict | None, *text: str) -> None:
+    """Write manifest.json from the parsed flags, then the reports.
+
+    report.json (unless `report` is None) and report.txt (given `text`: a
+    title, then paragraphs; also printed) carry the manifest hash.
+    """
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     body = {
-        "command": command,
+        "command": args.command,
         "package_version": __version__,
         "parameters": parameters,
     }
-    digest = hashlib.sha256(canonical_json(body).encode()).hexdigest()
-    body["hash"] = digest
-    return body
+    body["hash"] = hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    _write_json(out, "manifest.json", body)
+    if report is not None:
+        _write_json(out, "report.json", {"manifest_hash": body["hash"], **report})
+    if text:
+        title, *paragraphs = text
+        blocks = [f"{title}\nmanifest {body['hash']}"] + [p.rstrip("\n") for p in paragraphs]
+        doc = "\n\n".join(blocks) + "\n"
+        _write_text(out, "report.txt", doc)
+        print(doc, end="")
 
 
-def _read_header(path: str) -> list[str]:
-    _set_stage("dataset")
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise ValidationError(f"cannot read '{path}': {exc.strerror}") from None
-    if not header:
-        raise ParseError("empty file", line=1)
-    return header
+def _load(args, *extra: str):
+    """Read the input CSV once; columns no flag names are causes, `extra` are covariates.
 
-
-def _build_schema(args, header: list[str], outcome: str | None) -> dict[str, str]:
-    """Map every CSV column to a role from the subcommand flags."""
-    covariates = [c for c in (args.covariates or "").split(",") if c]
-    ignore = [c for c in (getattr(args, "ignore", "") or "").split(",") if c]
-    mediator = getattr(args, "mediator", None)
-    schema: dict[str, str] = {}
-    for col in header:
-        if outcome is not None and col == outcome:
-            schema[col] = "outcome"
-        elif col == args.id_column:
-            schema[col] = "id"
-        elif col in covariates:
-            schema[col] = "covariate"
-        elif col in ignore or col == mediator or col == getattr(args, "outcome", None):
-            schema[col] = "ignore"
-        else:
-            schema[col] = "cause"
-    for col in [outcome] + covariates + ignore:
+    Resolves --outcome-kind in place, so the manifest records the kind used.
+    """
+    header = read_header(args.input)
+    covariates = _split(args.covariates)
+    ignore = _split(args.ignore)
+    for col in [args.outcome, *extra] + covariates + ignore:
         if col and col not in header:
             raise ValidationError(f"column '{col}' not present in the input header")
-    return schema
+    # where flags name a column twice, the later role wins
+    roles = dict.fromkeys(ignore, "ignore")
+    roles.update(dict.fromkeys(covariates, "covariate"))
+    roles.update({args.id_column: "id", args.outcome: "outcome"})
+    roles.update(dict.fromkeys(extra, "covariate"))
+    schema = {col: roles.get(col, "cause") for col in header}
+    if not args.outcome_kind:
+        args.outcome_kind = args.outcome if args.outcome in DEFAULT_K else "custom"
+    return load_csv(args.input, schema, outcome_kind=args.outcome_kind)
 
 
-def _outcome_kind(args, outcome: str | None) -> str:
-    if args.outcome_kind:
-        return args.outcome_kind
-    if outcome in DEFAULT_K:
-        return outcome
-    return "custom"
+def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
+    if not m.has_missing:
+        return m, {"ran": False}
+    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations, seed=args.seed))
+    return res.matrix, {
+        "ran": True,
+        "sweeps": res.sweeps,
+        "converged": res.converged,
+        "max_change": res.max_change,
+        "mean_fallback_columns": res.mean_fallback_columns,
+    }
 
 
-def _prepare(args, outcome_col: str | None):
+def _prepare(args, *extra: str):
     """Shared ingestion: load -> impute -> standardize -> screen."""
-    header = _read_header(args.input)
-    schema = _build_schema(args, header, outcome_col)
-    kind = _outcome_kind(args, outcome_col)
-    _set_stage("dataset")
-    m, y, x = load_csv(args.input, schema, outcome_kind=kind)
+    m, y, x = _load(args, *extra)
     overlap = check_overlap(m)
-
-    _set_stage("imputation")
-    imputation = {"ran": False}
-    if m.has_missing:
-        res = impute_mice(m, MiceConfig(iterations=args.mice_iterations, seed=args.seed))
-        m = res.matrix
-        imputation = {
-            "ran": True,
-            "sweeps": res.sweeps,
-            "converged": res.converged,
-            "max_change": res.max_change,
-            "mean_fallback_columns": res.mean_fallback_columns,
-        }
-
-    _set_stage("dataset")
+    m, imputation = _impute(args, m)
     m, transform = standardize(m)
     m, dropped = correlation_screen(m, threshold=args.corr_threshold)
     prep = {
         "overlap": {"passed": overlap.passed, "failing_rows": overlap.failing_rows},
         "imputation": imputation,
         "screen": {"kept": list(m.column_names), "dropped": dropped},
-        "standardization": {
-            "mean": [float(v) for v in transform.mean],
-            "scale": [float(v) for v in transform.scale],
-        },
+        "standardization": {"mean": transform.mean.tolist(), "scale": transform.scale.tolist()},
     }
     return m, y, x, prep
 
 
-def _resolve_k(args, m: CauseMatrix, kind: str) -> int:
-    if args.k is not None:
-        return args.k
-    # default per outcome kind, clamped below the cause count
-    return min(DEFAULT_K[kind], m.n_causes - 1)
+def _surrogates(args, m: CauseMatrix):
+    """Resolve K, hold out entries, fit the factor model, infer the latents.
 
-
-def _fit_surrogates(args, m: CauseMatrix, k: int):
-    _set_stage("dataset")
+    The resolved K is stored as `args.k` for the manifest.
+    """
+    args.k = args.k_requested
+    if args.k is None:
+        # default per outcome kind, clamped below the cause count
+        args.k = min(DEFAULT_K[args.outcome_kind], m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
-    _set_stage("ppca")
-    model = fit_ppca(m, k, PpcaConfig(seed=args.seed), mask=mask)
-    z = posterior_mean_partial(model, m, mask)
-    return mask, model, z
+    model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
+    return mask, model, posterior_mean_partial(model, m, mask)
 
 
-def _mask_payload(mask: HoldoutMask, rate: float, seed: int) -> dict:
-    return {
-        "rate": rate,
-        "seed": seed,
-        "held": [[int(j) for j in np.flatnonzero(row)] for row in mask.held],
-    }
+def _check(args, model: PpcaModel, m: CauseMatrix, mask: HoldoutMask):
+    return predictive_check(
+        model,
+        m,
+        mask,
+        replications=args.replications,
+        mc_samples=args.mc_samples,
+        seed=args.seed,
+        threshold=args.check_threshold,
+        method=args.check_method,
+    )
 
 
-def _load_mask(path: str, m: CauseMatrix) -> HoldoutMask:
-    _set_stage("dataset")
+def _save_fit(args, out: str, m: CauseMatrix, mask: HoldoutMask, model: PpcaModel) -> None:
+    model_doc = model.to_dict()
+    model_doc["columns"] = list(m.column_names)
+    _write_json(out, "model.json", model_doc)
+    holdout = {"rate": args.holdout_rate, "seed": args.seed, **mask.to_dict()}
+    _write_json(out, "holdout.json", holdout)
+
+
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read '{path}': {exc.strerror}") from None
     except ValueError as exc:
-        raise ValidationError(f"bad mask file: {exc}") from None
-    held = np.zeros((m.n_units, m.n_causes), dtype=bool)
-    rows = payload.get("held")
-    if not isinstance(rows, list) or len(rows) != m.n_units:
-        raise ValidationError("mask row count disagrees with the input data")
-    for i, cols in enumerate(rows):
-        for j in cols:
-            if not 0 <= int(j) < m.n_causes:
-                raise ValidationError(f"mask row {i} names column {j} out of range")
-            held[i, int(j)] = True
-    return HoldoutMask(held)
+        raise ValidationError(f"bad {what} file: {exc}") from None
 
 
 def _load_model(path: str, m: CauseMatrix) -> PpcaModel:
-    _set_stage("ppca")
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read '{path}': {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValidationError(f"bad model file: {exc}") from None
+    payload = _read_json(path, "model")
     model = PpcaModel.from_dict(payload)
     columns = payload.get("columns")
     if columns is not None and list(columns) != list(m.column_names):
@@ -255,36 +224,25 @@ def _load_model(path: str, m: CauseMatrix) -> PpcaModel:
     return model
 
 
-def _estimate_to_dict(est) -> dict:
-    return {
-        "beta": [float(v) for v in est.beta],
-        "gamma": [float(v) for v in est.gamma],
-        "cause_names": list(est.cause_names),
-        "regression": est.report.to_dict(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
-    _set_stage("synthetic")
-    factory = SCENARIOS[args.scenario]
+def cmd_synth(args, out: str) -> int:
     kwargs = {"n_units": args.n, "seed": args.seed}
     if args.missing_rate:
         if args.scenario != "confounded":
             raise ValidationError("--missing-rate is only supported for 'confounded'")
         kwargs["missing_rate"] = args.missing_rate
-    cfg = factory(**kwargs)
+    cfg = SCENARIOS[args.scenario](**kwargs)
     m, rating, popularity, truth = generate(cfg)
-    outcomes = {}
-    if rating is not None:
-        outcomes["rating"] = rating
-    outcomes["popularity"] = popularity
-    _set_stage("dataset")
+    outcomes = {"rating": rating, "popularity": popularity}
+    if rating is None:
+        del outcomes["rating"]
     write_csv(os.path.join(out, "data.csv"), m, outcomes=outcomes)
+    mediator = None
+    if truth.mediator_theta is not None:
+        mediator = {"theta": truth.mediator_theta.tolist(), "lambda": truth.mediator_lambda}
     truth_doc = {
         "scenario": args.scenario,
         "seed": args.seed,
@@ -295,149 +253,50 @@ def cmd_synth(args) -> int:
         "confounder_loadings": [[float(v) for v in row] for row in cfg.confounder_loadings],
         "overlap_shift": truth.overlap_shift,
         "missing_cells": int(truth.missing_mask.sum()),
-        "mediator": None
-        if truth.mediator_theta is None
-        else {
-            "theta": [float(v) for v in truth.mediator_theta],
-            "lambda": truth.mediator_lambda,
-        },
+        "mediator": mediator,
     }
     _write_json(out, "truth.json", truth_doc)
-    manifest = _manifest(
-        "synth",
-        {
-            "scenario": args.scenario,
-            "n": args.n,
-            "seed": args.seed,
-            "missing_rate": args.missing_rate,
-        },
-    )
-    _write_json(out, "manifest.json", manifest)
+    _finish(args, out, None)
     print(f"wrote {m.n_units} units x {m.n_causes} causes to {out}/data.csv")
     return 0
 
 
-def cmd_impute(args) -> int:
-    out = _out_dir(args)
-    header = _read_header(args.input)
-    schema = _build_schema(args, header, args.outcome or None)
-    _set_stage("dataset")
-    m, y, x = load_csv(args.input, schema, outcome_kind=_outcome_kind(args, args.outcome))
-    _set_stage("imputation")
-    diagnostics = {"ran": False}
-    if m.has_missing:
-        res = impute_mice(m, MiceConfig(iterations=args.mice_iterations, seed=args.seed))
-        m = res.matrix
-        diagnostics = {
-            "ran": True,
-            "sweeps": res.sweeps,
-            "converged": res.converged,
-            "max_change": res.max_change,
-            "mean_fallback_columns": res.mean_fallback_columns,
-        }
+def cmd_impute(args, out: str) -> int:
+    m, y, x = _load(args)
+    m, diagnostics = _impute(args, m)
     outcomes = {args.outcome: y} if args.outcome else {}
-    _set_stage("dataset")
     write_csv(os.path.join(out, "imputed.csv"), m, outcomes=outcomes, covariates=x)
-    manifest = _manifest(
-        "impute",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "mice_iterations": args.mice_iterations,
-            "seed": args.seed,
-        },
-    )
-    _write_json(out, "manifest.json", manifest)
-    _write_json(out, "report.json", {"manifest_hash": manifest["hash"], "imputation": diagnostics})
+    _finish(args, out, {"imputation": diagnostics})
     note = "imputed" if diagnostics["ran"] else "already complete"
     print(f"{note}; wrote {out}/imputed.csv")
     return 0
 
 
-def cmd_fit_ppca(args) -> int:
-    out = _out_dir(args)
-    m, y, x, prep = _prepare(args, args.outcome or None)
-    kind = _outcome_kind(args, args.outcome or None)
-    k = _resolve_k(args, m, kind)
-    mask, model, z = _fit_surrogates(args, m, k)
-
-    model_doc = model.to_dict()
-    model_doc["columns"] = list(m.column_names)
-    _write_json(out, "model.json", model_doc)
-    _write_json(out, "holdout.json", _mask_payload(mask, args.holdout_rate, args.seed))
-    manifest = _manifest(
-        "fit-ppca",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "outcome_kind": kind,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "k_requested": args.k,
-            "k": k,
-            "holdout_rate": args.holdout_rate,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "seed": args.seed,
-        },
-    )
-    _write_json(out, "manifest.json", manifest)
+def cmd_fit_ppca(args, out: str) -> int:
+    m, _, _, prep = _prepare(args)
+    mask, model, _ = _surrogates(args, m)
+    _save_fit(args, out, m, mask, model)
     report = {
-        "manifest_hash": manifest["hash"],
         "log_likelihood": model.log_likelihood,
         "converged": model.converged,
         "iterations": len(model.fit_trace),
         "noise_variance": model.noise_variance,
         **prep,
     }
-    _write_json(out, "report.json", report)
+    _finish(args, out, report)
     print(
-        f"fitted K={k} on {m.n_units}x{m.n_causes} (holdout {args.holdout_rate:g});"
+        f"fitted K={args.k} on {m.n_units}x{m.n_causes} (holdout {args.holdout_rate:g});"
         f" log-likelihood {model.log_likelihood:.2f}"
     )
     return 0
 
 
-def cmd_check(args) -> int:
-    out = _out_dir(args)
-    m, y, x, prep = _prepare(args, args.outcome or None)
+def cmd_check(args, out: str) -> int:
+    m, _, _, _ = _prepare(args)
     model = _load_model(args.model, m)
-    mask = _load_mask(args.mask, m)
-    _set_stage("ppca")
-    result = predictive_check(
-        model,
-        m,
-        mask,
-        replications=args.replications,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        threshold=args.check_threshold,
-        method=args.check_method,
-    )
-    manifest = _manifest(
-        "check",
-        {
-            "input": args.input,
-            "model": args.model,
-            "mask": args.mask,
-            "outcome": args.outcome,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "replications": args.replications,
-            "mc_samples": args.mc_samples,
-            "check_threshold": args.check_threshold,
-            "check_method": args.check_method,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "seed": args.seed,
-        },
-    )
-    _write_json(out, "manifest.json", manifest)
-    doc = result.to_dict()
-    doc["manifest_hash"] = manifest["hash"]
-    _write_json(out, "report.json", doc)
+    mask = HoldoutMask.from_dict(_read_json(args.mask, "mask"), m.values.shape)
+    result = _check(args, model, m, mask)
+    _finish(args, out, result.to_dict())
     verdict = "PASSED" if result.passed else "FAILED"
     print(
         f"predictive check score {result.score:.4f}"
@@ -448,282 +307,169 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_effects(args) -> int:
-    out = _out_dir(args)
-    m, y, x, prep = _prepare(args, args.outcome)
-    if y is None:
-        raise ValidationError("effects needs an --outcome column")
-    kind = _outcome_kind(args, args.outcome)
-    k = _resolve_k(args, m, kind)
-    mask, model, z = _fit_surrogates(args, m, k)
-
-    _set_stage("ppca")
-    result = predictive_check(
-        model,
-        m,
-        mask,
-        replications=args.replications,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        threshold=args.check_threshold,
-        method=args.check_method,
-    )
-    if not result.passed and not args.force:
-        raise PredictiveCheckFailed(result.score, result.threshold)
+def cmd_effects(args, out: str) -> int:
+    m, y, x, prep = _prepare(args)
+    mask, model, z = _surrogates(args, m)
+    result = _check(args, model, m, mask)
     if not result.passed:
+        if not args.force:
+            raise PredictiveCheckFailed(result.score, result.threshold)
         print(
             f"WARNING: predictive check failed (score {result.score:.4f}"
             f" <= {result.threshold:g}); continuing under --force",
             file=sys.stderr,
         )
-
-    _set_stage("effects")
     causal = estimate_effects_causal(m, z, y, x)
     noncausal = estimate_effects_noncausal(m, y, x)
-
-    manifest = _manifest(
-        "effects",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "outcome_kind": kind,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "k_requested": args.k,
-            "k": k,
-            "holdout_rate": args.holdout_rate,
-            "replications": args.replications,
-            "mc_samples": args.mc_samples,
-            "check_threshold": args.check_threshold,
-            "check_method": args.check_method,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "force": bool(args.force),
-            "seed": args.seed,
-        },
-    )
-    model_doc = model.to_dict()
-    model_doc["columns"] = list(m.column_names)
-    _write_json(out, "model.json", model_doc)
-    _write_json(out, "holdout.json", _mask_payload(mask, args.holdout_rate, args.seed))
-    _write_json(out, "manifest.json", manifest)
-
-    check_doc = result.to_dict()
+    _save_fit(args, out, m, mask, model)
     report = {
-        "manifest_hash": manifest["hash"],
-        "predictive_check": check_doc,
-        "causal": _estimate_to_dict(causal),
-        "noncausal": _estimate_to_dict(noncausal),
+        "predictive_check": result.to_dict(),
+        "causal": causal.to_dict(),
+        "noncausal": noncausal.to_dict(),
         **prep,
     }
-    _write_json(out, "report.json", report)
-
     shown = ["Intercept"] + list(m.column_names)
     verdict = "passed" if result.passed else "FAILED (forced)"
-    text = "\n".join(
-        [
-            f"causal effect estimates on '{args.outcome}'",
-            f"manifest {manifest['hash']}",
-            "",
-            f"predictive check: score {result.score:.4f}"
-            f" (threshold {result.threshold:g}) {verdict}",
-            "",
-            render_regression_table(causal.report, include=shown).rstrip("\n"),
-            "",
-            "non-causal comparison",
-            "",
-            render_regression_table(noncausal.report, include=shown).rstrip("\n"),
-            "",
-        ]
+    _finish(
+        args,
+        out,
+        report,
+        f"causal effect estimates on '{args.outcome}'",
+        f"predictive check: score {result.score:.4f}"
+        f" (threshold {result.threshold:g}) {verdict}",
+        render_regression_table(causal.report, include=shown),
+        "non-causal comparison",
+        render_regression_table(noncausal.report, include=shown),
     )
-    _write_text(out, "report.txt", text)
-    print(text, end="")
     return 0
 
 
-def cmd_mediate(args) -> int:
-    out = _out_dir(args)
+def cmd_mediate(args, out: str) -> int:
     if args.mediator == args.outcome:
         raise ValidationError("mediator and outcome must be different columns")
-    m, y, x, prep = _prepare(args, args.outcome)
-    if y is None:
-        raise ValidationError("mediate needs an --outcome column")
-    # second pass picks up the mediator column under the same prep
-    header = _read_header(args.input)
-    med_schema = _build_schema(args, header, args.mediator)
-    _set_stage("dataset")
-    _, r, _ = load_csv(args.input, med_schema, outcome_kind="rating")
-    if r is None:
-        raise ValidationError("mediate needs a --mediator column")
-    kind = _outcome_kind(args, args.outcome)
-    k = _resolve_k(args, m, kind)
-    mask, model, z = _fit_surrogates(args, m, k)
-    _set_stage("mediation")
+    if args.mediator in _split(args.covariates):
+        raise ValidationError("the mediator cannot also be a covariate")
+    m, y, x, prep = _prepare(args, args.mediator)
+    # the mediator was loaded as one more covariate; split it off
+    j = x.column_names.index(args.mediator)
+    r = OutcomeVector(x.values[:, j])
+    rest = [i for i in range(len(x.column_names)) if i != j]
+    x = CovariateMatrix(x.values[:, rest], [x.column_names[i] for i in rest]) if rest else None
+    _, _, z = _surrogates(args, m)
     report = mediate(m, z, r, y, x, alpha=args.alpha)
-
-    manifest = _manifest(
-        "mediate",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "mediator": args.mediator,
-            "outcome_kind": kind,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "k_requested": args.k,
-            "k": k,
-            "alpha": args.alpha,
-            "holdout_rate": args.holdout_rate,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "seed": args.seed,
-        },
+    _finish(
+        args,
+        out,
+        {**report.to_dict(), **prep},
+        f"mediation of '{args.outcome}' through '{args.mediator}'",
+        render_mediation_table(report, alpha=args.alpha),
     )
-    _write_json(out, "manifest.json", manifest)
-    doc = report.to_dict()
-    doc["manifest_hash"] = manifest["hash"]
-    doc.update(prep)
-    _write_json(out, "report.json", doc)
-    text = "\n".join(
-        [
-            f"mediation of '{args.outcome}' through '{args.mediator}'",
-            f"manifest {manifest['hash']}",
-            "",
-            render_mediation_table(report, alpha=args.alpha).rstrip("\n"),
-            "",
-        ]
-    )
-    _write_text(out, "report.txt", text)
-    print(text, end="")
     return 0
 
 
-def cmd_robustness(args) -> int:
-    out = _out_dir(args)
-    m, y, x, prep = _prepare(args, args.outcome)
-    if y is None:
-        raise ValidationError("robustness needs an --outcome column")
-    order = [c for c in (args.order or "").split(",") if c] or None
-
-    tables = {}
-    if args.mode in ("noncausal", "both"):
-        _set_stage("robustness")
-        tables["noncausal"] = sweep(m, y, order=order, alpha=args.alpha)
-    if args.mode in ("causal", "both"):
-        kind = _outcome_kind(args, args.outcome)
-        k = _resolve_k(args, m, kind)
-        mask, model, z = _fit_surrogates(args, m, k)
-        _set_stage("robustness")
-        tables["causal"] = sweep(m, y, z=z, order=order, alpha=args.alpha)
-
-    manifest = _manifest(
-        "robustness",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "mode": args.mode,
-            "order": args.order,
-            "alpha": args.alpha,
-            "k_requested": args.k,
-            "holdout_rate": args.holdout_rate,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "seed": args.seed,
-        },
-    )
-    _write_json(out, "manifest.json", manifest)
-    doc = {"manifest_hash": manifest["hash"], **prep}
-    blocks = [f"cause-addition sweep on '{args.outcome}'", f"manifest {manifest['hash']}"]
+def cmd_robustness(args, out: str) -> int:
+    m, y, _, report = _prepare(args)
+    order = _split(args.order) or None
+    paragraphs = []
     for label in ("noncausal", "causal"):
-        if label in tables:
-            doc[label] = tables[label].to_dict()
-            blocks += ["", f"{label} sweep", "", render_sweep_table(tables[label]).rstrip("\n")]
-    _write_json(out, "report.json", doc)
-    text = "\n".join(blocks) + "\n"
-    _write_text(out, "report.txt", text)
-    print(text, end="")
+        if args.mode in (label, "both"):
+            z = _surrogates(args, m)[2] if label == "causal" else None
+            table = sweep(m, y, z=z, order=order, alpha=args.alpha)
+            report[label] = table.to_dict()
+            paragraphs += [f"{label} sweep", render_sweep_table(table)]
+    _finish(args, out, report, f"cause-addition sweep on '{args.outcome}'", *paragraphs)
     return 0
 
 
-def cmd_compare_predictive(args) -> int:
-    out = _out_dir(args)
-    m, y, x, prep = _prepare(args, args.outcome)
-    if y is None:
-        raise ValidationError("compare-predictive needs an --outcome column")
-    kind = _outcome_kind(args, args.outcome)
-    k = _resolve_k(args, m, kind)
-    mask, model, z = _fit_surrogates(args, m, k)
-    _set_stage("effects")
+def cmd_compare_predictive(args, out: str) -> int:
+    m, y, x, prep = _prepare(args)
+    _, _, z = _surrogates(args, m)
     comparison = predictive_comparison(m, z, y, x, split=args.split, seed=args.seed)
-
-    manifest = _manifest(
-        "compare-predictive",
-        {
-            "input": args.input,
-            "outcome": args.outcome,
-            "outcome_kind": kind,
-            "id_column": args.id_column,
-            "covariates": args.covariates,
-            "k_requested": args.k,
-            "k": k,
-            "split": args.split,
-            "holdout_rate": args.holdout_rate,
-            "mice_iterations": args.mice_iterations,
-            "corr_threshold": args.corr_threshold,
-            "seed": args.seed,
-        },
+    _finish(
+        args,
+        out,
+        {"comparison": comparison, **prep},
+        f"held-out prediction of '{args.outcome}' (test fraction {args.split:g})",
+        render_comparison_table(comparison),
     )
-    _write_json(out, "manifest.json", manifest)
-    doc = {"manifest_hash": manifest["hash"], "comparison": comparison, **prep}
-    _write_json(out, "report.json", doc)
-    text = "\n".join(
-        [
-            f"held-out prediction of '{args.outcome}' (test fraction {args.split:g})",
-            f"manifest {manifest['hash']}",
-            "",
-            render_comparison_table(comparison).rstrip("\n"),
-            "",
-        ]
-    )
-    _write_text(out, "report.txt", text)
-    print(text, end="")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 
 
-def _add_io_flags(p, outcome_required=False, seed_required=True):
-    p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument(
-        "--outcome",
-        required=outcome_required,
-        default=None,
-        help="outcome column name" + ("" if outcome_required else " (optional)"),
-    )
-    p.add_argument("--outcome-kind", choices=sorted(DEFAULT_K), default=None)
-    p.add_argument("--id-column", default="id", help="unit id column (default: id)")
-    p.add_argument("--covariates", default="", help="comma-separated covariate columns")
-    p.add_argument("--ignore", default="", help="comma-separated columns to drop")
-    p.add_argument("--mice-iterations", type=int, default=10)
-    p.add_argument("--corr-threshold", type=float, default=0.7)
-    p.add_argument("--seed", type=int, required=seed_required, default=None if seed_required else 0)
-    p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
+def _flag(*names: str, **kwargs):
+    return names, kwargs
 
 
-def _add_fit_flags(p):
-    p.add_argument("-k", "--latent-dim", dest="k", type=int, default=None)
-    p.add_argument("--holdout-rate", type=float, default=0.2)
+_SEED = _flag("--seed", type=int, required=True)
+_OUT = _flag("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
+_SYNTH = [
+    _flag("--scenario", choices=sorted(SCENARIOS), required=True),
+    _flag("--n", type=int, default=5000, help="number of units"),
+    _flag("--missing-rate", type=float, default=0.0),
+    _SEED,
+    _OUT,
+]
+_INPUT = [
+    _flag("--input", required=True, help="input CSV path"),
+    _flag("--outcome-kind", choices=sorted(DEFAULT_K), default=None),
+    _flag("--id-column", default="id", help="unit id column (default: id)"),
+    _flag("--covariates", default="", help="comma-separated covariate columns"),
+    _flag("--ignore", default="", help="comma-separated columns to drop"),
+    _flag("--mice-iterations", type=int, default=10),
+]
+_OPTIONAL_OUTCOME = _flag("--outcome", default=None, help="outcome column name (optional)")
+_IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _flag("--seed", type=int, default=0), _OUT]
+_PREPARE = [*_INPUT, _flag("--corr-threshold", type=float, default=0.7), _SEED, _OUT]
+_FIT = [
+    _flag("-k", "--latent-dim", dest="k_requested", type=int, default=None),
+    _flag("--holdout-rate", type=float, default=0.2),
+]
+_CHECK = [
+    _flag("--replications", type=int, default=100),
+    _flag("--mc-samples", type=int, default=100),
+    _flag("--check-threshold", type=float, default=0.1),
+    _flag("--check-method", choices=("mean", "pooled"), default="mean"),
+]
+_SAVED = [
+    _flag("--model", required=True, help="model.json from fit-ppca"),
+    _flag("--mask", required=True, help="holdout.json from fit-ppca"),
+]
+# the analyses: a required outcome and a fresh fit
+_ANALYSIS = [*_PREPARE, _flag("--outcome", required=True, help="outcome column name"), *_FIT]
+_FORCE = _flag("--force", action="store_true", help="proceed past a failed check")
+_MEDIATOR = _flag("--mediator", required=True, help="mediator column name")
+_ALPHA = _flag("--alpha", type=float, default=0.05)
+_MODE = _flag("--mode", choices=("causal", "noncausal", "both"), default="both")
+_ORDER = _flag("--order", default="", help="comma-separated cause addition order")
+_SPLIT = _flag("--split", type=float, default=0.2)
 
 
-def _add_check_flags(p):
-    p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--mc-samples", type=int, default=100)
-    p.add_argument("--check-threshold", type=float, default=0.1)
-    p.add_argument("--check-method", choices=("mean", "pooled"), default="mean")
+# name -> (function, help text, flags)
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic benchmark dataset", _SYNTH),
+    "impute": (cmd_impute, "fill missing cause entries", _IMPUTE),
+    "fit-ppca": (
+        cmd_fit_ppca, "fit the factor model over the causes", [*_PREPARE, _OPTIONAL_OUTCOME, *_FIT]
+    ),
+    "check": (
+        cmd_check,
+        "score a saved model on held-out entries",
+        [*_PREPARE, _OPTIONAL_OUTCOME, *_SAVED, *_CHECK],
+    ),
+    "effects": (cmd_effects, "full causal effect pipeline", [*_ANALYSIS, *_CHECK, _FORCE]),
+    "mediate": (
+        cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _ALPHA]
+    ),
+    "robustness": (
+        cmd_robustness, "cause-addition sign-flip sweep", [*_ANALYSIS, _MODE, _ORDER, _ALPHA]
+    ),
+    "compare-predictive": (
+        cmd_compare_predictive, "held-out MSE/MAE comparison", [*_ANALYSIS, _SPLIT]
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -733,95 +479,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    p.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
-    p.add_argument("--n", type=int, default=5000, help="number of units")
-    p.add_argument("--missing-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("impute", help="fill missing cause entries")
-    _add_io_flags(p, seed_required=False)
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("fit-ppca", help="fit the factor model over the causes")
-    _add_io_flags(p)
-    _add_fit_flags(p)
-    p.set_defaults(func=cmd_fit_ppca)
-
-    p = sub.add_parser("check", help="score a saved model on held-out entries")
-    _add_io_flags(p)
-    p.add_argument("--model", required=True, help="model.json from fit-ppca")
-    p.add_argument("--mask", required=True, help="holdout.json from fit-ppca")
-    _add_check_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("effects", help="full causal effect pipeline")
-    _add_io_flags(p, outcome_required=True)
-    _add_fit_flags(p)
-    _add_check_flags(p)
-    p.add_argument("--force", action="store_true", help="proceed past a failed check")
-    p.set_defaults(func=cmd_effects)
-
-    p = sub.add_parser("mediate", help="total/direct effects through a mediator")
-    _add_io_flags(p, outcome_required=True)
-    _add_fit_flags(p)
-    p.add_argument("--mediator", required=True, help="mediator column name")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=cmd_mediate)
-
-    p = sub.add_parser("robustness", help="cause-addition sign-flip sweep")
-    _add_io_flags(p, outcome_required=True)
-    _add_fit_flags(p)
-    p.add_argument("--mode", choices=("causal", "noncausal", "both"), default="both")
-    p.add_argument("--order", default="", help="comma-separated cause addition order")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser("compare-predictive", help="held-out MSE/MAE comparison")
-    _add_io_flags(p, outcome_required=True)
-    _add_fit_flags(p)
-    p.add_argument("--split", type=float, default=0.2)
-    p.set_defaults(func=cmd_compare_predictive)
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
     return parser
 
 
-_HINTS = {
-    ParseError: "fix the malformed row or pass the correct schema flags",
-    ValidationError: "check the input schema and flag values",
-    PredictiveCheckFailed: "the factor model cannot reproduce held-out causes;"
-    " inspect the data, try another K, or rerun with --force",
-    RankDeficiencyError: "drop or screen collinear cause columns before fitting",
-    NumericError: "inspect the diagnostics; a different seed or smaller K may help",
-}
-
-
-def _hint(exc: MulticauseError) -> str:
-    for klass in type(exc).__mro__:
-        if klass in _HINTS:
-            return _HINTS[klass]
-    return "see the documentation for this subcommand"
+def _origin(exc: BaseException) -> str:
+    """Short name of the innermost package module the exception passed through."""
+    label = "cli"
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("multicause."):
+            label = module.rsplit(".", 1)[1]
+        tb = tb.tb_next
+    return label
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PredictiveCheckFailed as exc:
-        print(f"error [ppca] {exc}", file=sys.stderr)
-        print(f"hint: {_hint(exc)}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error [{_stage[0]}] {exc}", file=sys.stderr)
-        print(f"hint: {_hint(exc)}", file=sys.stderr)
-        return 3
+        run, _, _ = COMMANDS[args.command]
+        return run(args, _out_dir(args))
     except MulticauseError as exc:
-        print(f"error [{_stage[0]}] {exc}", file=sys.stderr)
-        print(f"hint: {_hint(exc)}", file=sys.stderr)
-        return 1
+        # a failed gate is the factor model's verdict
+        label = "ppca" if isinstance(exc, PredictiveCheckFailed) else _origin(exc)
+        print(f"error [{label}] {exc}", file=sys.stderr)
+        print(f"hint: {exc.hint}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error [cli] {exc}", file=sys.stderr)
         return 1

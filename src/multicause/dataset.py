@@ -152,6 +152,25 @@ class HoldoutMask:
     def n_held(self) -> int:
         return int(self.held.sum())
 
+    def to_dict(self) -> dict:
+        return {"held": [[int(j) for j in np.flatnonzero(row)] for row in self.held]}
+
+    @classmethod
+    def from_dict(cls, payload, shape: tuple[int, int]) -> "HoldoutMask":
+        """Rebuild an (n, d) mask whose `held` lists each row's hidden columns."""
+        n, d = shape
+        rows = payload.get("held") if isinstance(payload, dict) else None
+        if not isinstance(rows, list) or len(rows) != n:
+            raise ValidationError(f"mask 'held' must list one row per unit ({n})")
+        held = np.zeros((n, d), dtype=bool)
+        for i, cols in enumerate(rows):
+            if not isinstance(cols, list) or any(type(j) is not int for j in cols):
+                raise ValidationError(f"mask row {i} must be a list of column indices")
+            if any(not 0 <= j < d for j in cols):
+                raise ValidationError(f"mask row {i} names a column outside 0..{d - 1}")
+            held[i, cols] = True
+        return cls(held)
+
 
 @dataclass(eq=False)
 class OverlapReport:
@@ -174,6 +193,18 @@ def _parse_cell(text: str, row_line: int, column: str, allow_missing: bool) -> f
         raise ParseError(
             f"cannot parse '{stripped}' in column '{column}'", line=row_line
         ) from None
+
+
+def read_header(path: str) -> list[str]:
+    """Column names from the first line of a CSV file."""
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except OSError as exc:
+        raise ValidationError(f"cannot read '{path}': {exc.strerror}") from None
+    if not header:
+        raise ParseError("empty file", line=1)
+    return header
 
 
 def load_csv(

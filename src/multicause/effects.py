@@ -87,6 +87,14 @@ class CausalEffectEstimate:
     cause_names: list[str]
     report: RegressionReport
 
+    def to_dict(self) -> dict:
+        return {
+            "beta": [float(v) for v in self.beta],
+            "gamma": [float(v) for v in self.gamma],
+            "cause_names": list(self.cause_names),
+            "regression": self.report.to_dict(),
+        }
+
 
 def _as_vector(y) -> np.ndarray:
     values = np.asarray(getattr(y, "values", y), dtype=float)

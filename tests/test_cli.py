@@ -5,6 +5,7 @@ nothing here shells out. Outputs carry no timestamps, so reruns with the
 same flags must be byte-identical, which several tests pin down.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from multicause.cli import OUTPUT_DIR_ENV, main
+from multicause.cli import COMMANDS, OUTPUT_DIR_ENV, build_parser, main
 from multicause.tables import canonical_json
 
 
@@ -488,3 +489,176 @@ def test_ignored_columns_are_dropped(flip_data, tmp_path):
     report = read_json(out, "report.json")
     assert "c4" not in report["screen"]["kept"]
     assert len(report["causal"]["beta"]) == 4
+
+
+def test_ignore_changes_the_manifest_hash(flip_data, tmp_path):
+    assert run(*effects_args(flip_data, tmp_path / "all")) == 0
+    assert run(*effects_args(flip_data, tmp_path / "some", "--ignore", "c5")) == 0
+    some = read_json(tmp_path / "some", "manifest.json")
+    assert some["hash"] != read_json(tmp_path / "all", "manifest.json")["hash"]
+    assert some["parameters"]["ignore"] == "c5"
+
+
+def test_error_label_does_not_leak_from_an_earlier_call(
+    flip_data, mediation_data, tmp_path, capsys
+):
+    assert run(*effects_args(flip_data, tmp_path / "eff")) == 0
+    capsys.readouterr()
+    code = run(
+        "mediate",
+        "--input",
+        mediation_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--mediator",
+        "popularity",
+        "--seed",
+        0,
+        "--out",
+        tmp_path / "med",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli] mediator and outcome must be different columns")
+
+
+def test_mediator_cannot_be_a_covariate(mediation_data, tmp_path, capsys):
+    code = run(
+        "mediate",
+        "--input",
+        mediation_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--mediator",
+        "rating",
+        "--covariates",
+        "rating",
+        "--seed",
+        0,
+        "--out",
+        tmp_path,
+    )
+    assert code == 1
+    assert "cannot also be a covariate" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fit_dir(flip_data, tmp_path_factory):
+    d = tmp_path_factory.mktemp("fit")
+    code = run(
+        "fit-ppca",
+        "--input",
+        flip_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--corr-threshold",
+        0.95,
+        "--seed",
+        0,
+        "--out",
+        d,
+    )
+    assert code == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"held": [0] * 2000},
+        {"held": [["c1"]] * 2000},
+        {"held": [[5]] * 2000},
+    ],
+    ids=["not-an-object", "rows-not-lists", "column-not-an-integer", "column-out-of-range"],
+)
+def test_malformed_mask_is_a_validation_error(payload, flip_data, fit_dir, tmp_path, capsys):
+    mask = tmp_path / "holdout.json"
+    mask.write_text(json.dumps(payload))
+    code = run(
+        "check",
+        "--input",
+        flip_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--corr-threshold",
+        0.95,
+        "--seed",
+        0,
+        "--model",
+        fit_dir / "model.json",
+        "--mask",
+        mask,
+        "--out",
+        tmp_path / "chk",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [dataset] mask")
+    assert "hint: check the input schema and flag values" in err
+
+
+def contract_argv(command, flip, med, fit):
+    fitting = ["--input", flip / "data.csv", "--outcome", "popularity"]
+    fitting += ["--corr-threshold", 0.95, "--seed", 0]
+    return {
+        "synth": ["--scenario", "flip", "--n", 100, "--seed", 0],
+        "impute": ["--input", flip / "data.csv", "--outcome", "popularity"],
+        "fit-ppca": fitting,
+        "check": [*fitting, "--model", fit / "model.json", "--mask", fit / "holdout.json"],
+        "effects": fitting,
+        "mediate": [
+            "--input",
+            med / "data.csv",
+            "--outcome",
+            "popularity",
+            "--mediator",
+            "rating",
+            "--corr-threshold",
+            0.95,
+            "--seed",
+            0,
+        ],
+        "robustness": fitting,
+        "compare-predictive": fitting,
+    }[command]
+
+
+# (command, extra flags, whether the run resolves K)
+CONTRACT_RUNS = [
+    ("synth", [], False),
+    ("impute", [], False),
+    ("fit-ppca", [], True),
+    ("check", [], False),
+    ("effects", [], True),
+    ("mediate", [], True),
+    ("robustness", ["--mode", "both"], True),
+    ("robustness", ["--mode", "noncausal"], False),
+    ("compare-predictive", [], True),
+]
+
+
+def test_contract_runs_cover_every_command():
+    assert {command for command, _, _ in CONTRACT_RUNS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command, extra, resolves_k", CONTRACT_RUNS)
+def test_manifest_records_every_flag(
+    command, extra, resolves_k, flip_data, mediation_data, fit_dir, tmp_path
+):
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir), *extra]
+    assert run(*argv, "--out", tmp_path) == 0
+    parameters = read_json(tmp_path, "manifest.json")["parameters"]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
+    assert set(parameters) == dests | ({"k"} if resolves_k else set())
+    if "outcome_kind" in dests:
+        assert parameters["outcome_kind"] == "popularity"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_for_every_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: multicause {command}" in capsys.readouterr().out
