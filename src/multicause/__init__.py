@@ -51,7 +51,6 @@ from .ppca import (
     SurrogateConfounders,
     closed_form_max_loglik,
     fit_ppca,
-    posterior_mean,
     posterior_mean_partial,
     predictive_check,
 )

@@ -115,22 +115,29 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
         print(doc, end="")
 
 
-def _load(args, *extra: str):
-    """Read the input CSV once; columns no flag names are causes, `extra` are covariates.
+def _load(args):
+    """Read the input CSV once; columns no flag names are causes.
 
-    Resolves --outcome-kind in place, so the manifest records the kind used.
+    A --mediator loads as one more covariate column. Resolves
+    --outcome-kind in place, so the manifest records the kind used.
     """
     header = read_header(args.input)
     covariates = _split(args.covariates)
     ignore = _split(args.ignore)
-    for col in [args.outcome, *extra] + covariates + ignore:
+    mediator = getattr(args, "mediator", None)
+    named = [("--outcome", args.outcome), ("--mediator", mediator)]
+    named += [("--covariates", c) for c in covariates] + [("--ignore", c) for c in ignore]
+    for flag, col in named:
         if col and col not in header:
             raise ValidationError(f"column '{col}' not present in the input header")
+        if col == args.id_column:
+            raise ValidationError(f"{flag} names the --id-column '{col}'")
     # where flags name a column twice, the later role wins
     roles = dict.fromkeys(ignore, "ignore")
     roles.update(dict.fromkeys(covariates, "covariate"))
     roles.update({args.id_column: "id", args.outcome: "outcome"})
-    roles.update(dict.fromkeys(extra, "covariate"))
+    if mediator:
+        roles[mediator] = "covariate"
     schema = {col: roles.get(col, "cause") for col in header}
     if not args.outcome_kind:
         args.outcome_kind = args.outcome if args.outcome in DEFAULT_K else "custom"
@@ -150,9 +157,9 @@ def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     }
 
 
-def _prepare(args, *extra: str):
+def _prepare(args):
     """Shared ingestion: load -> impute -> standardize -> screen."""
-    m, y, x = _load(args, *extra)
+    m, y, x = _load(args)
     overlap = check_overlap(m)
     m, imputation = _impute(args, m)
     m, transform = standardize(m)
@@ -349,7 +356,7 @@ def cmd_mediate(args, out: str) -> int:
         raise ValidationError("mediator and outcome must be different columns")
     if args.mediator in _split(args.covariates):
         raise ValidationError("the mediator cannot also be a covariate")
-    m, y, x, prep = _prepare(args, args.mediator)
+    m, y, x, prep = _prepare(args)
     # the mediator was loaded as one more covariate; split it off
     j = x.column_names.index(args.mediator)
     r = OutcomeVector(x.values[:, j])
@@ -368,6 +375,8 @@ def cmd_mediate(args, out: str) -> int:
 
 
 def cmd_robustness(args, out: str) -> int:
+    if _split(args.covariates):  # the sweep regresses on causes and surrogates only
+        raise ValidationError("robustness takes no --covariates; drop those columns with --ignore")
     m, y, _, report = _prepare(args)
     order = _split(args.order) or None
     paragraphs = []

@@ -2,11 +2,17 @@
 
 The generative model per unit: z ~ N(0, I_K), a | z ~ N(mu + W z, s2 I_D),
 so marginally a ~ N(mu, W W' + s2 I). Fitting is plain EM with a seeded
-Gaussian start; for complete data the iteration runs in covariance space
-(O(D^3) per step regardless of N) and its maximum is cross-checkable
-against the closed-form eigendecomposition solution. When a holdout mask
-is supplied the EM conditions each row on its observed coordinates only,
-so a model can be fitted without ever seeing the held-out cells.
+Gaussian start, one iteration for complete and masked data alike: each
+row is conditioned on its observed coordinates only (all of them when no
+mask is given), so a model can be fitted without ever seeing the held-out
+cells. With complete data its maximum is cross-checkable against the
+closed-form eigendecomposition solution.
+
+Everything here rests on the posterior of z given a row's observed block,
+which depends on the row only through its observation pattern g:
+precision M_g = W_g'W_g + s2 I, mean M_g^-1 W_g'(a_g - mu_g), covariance
+s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked call
+and serves the EM, the surrogates and the check.
 """
 
 from __future__ import annotations
@@ -98,9 +104,9 @@ class PpcaModel:
 class SurrogateConfounders:
     """Posterior mean of z per unit.
 
-    posterior_covariance is K x K (shared across units) when every
-    coordinate was conditioned on, or N x K x K when rows condition on
-    different observed subsets.
+    posterior_covariance is K x K (shared across units) when no holdout
+    mask was given, or N x K x K when rows condition on the observed
+    subsets of a mask.
     """
 
     values: np.ndarray
@@ -182,155 +188,38 @@ def closed_form_max_loglik(m: CauseMatrix, k: int) -> float:
     return float(-0.5 * n * (d * _LN_2PI + np.log(top).sum() + (d - k) * math.log(s2) + d))
 
 
-def _complete_loglik(s: np.ndarray, n: int, w: np.ndarray, s2: float) -> float:
-    d, k = w.shape
-    m_mat = w.T @ w + s2 * np.eye(k)
-    sign, logdet_m = np.linalg.slogdet(m_mat)
-    if sign <= 0:
-        raise NumericError("posterior precision lost positive definiteness")
-    sw = s @ w
-    tr_term = (np.trace(s) - np.trace(np.linalg.solve(m_mat, w.T @ sw))) / s2
-    return float(
-        -0.5 * n * (d * _LN_2PI + (d - k) * math.log(s2) + logdet_m + tr_term)
-    )
-
-
-def _fit_complete(
-    m: CauseMatrix, k: int, cfg: PpcaConfig
-) -> PpcaModel:
-    x = m.values
-    n, d = x.shape
-    mu = x.mean(axis=0)
-    xc = x - mu
-    s = xc.T @ xc / n
-
-    evals = np.linalg.eigvalsh(s)
-    rank = int(np.sum(evals > max(evals.max(), 0.0) * 1e-12))
-    if rank < k:
-        raise NumericError(
-            f"sample covariance has rank {rank} < K={k}; choose a smaller K"
-        )
-
-    w, s2 = _init_params(x, np.ones_like(x, dtype=bool), k, cfg.seed)
-    eye_k = np.eye(k)
-    trace = [_complete_loglik(s, n, w, s2)]
-    converged = False
-    for _ in range(cfg.max_iter):
-        m_mat = w.T @ w + s2 * eye_k
-        sw = s @ w
-        g = np.linalg.solve(m_mat, w.T @ sw)  # M^-1 W' S W
-        w_new = sw @ np.linalg.inv(s2 * eye_k + g)
-        s2_new = float(
-            (np.trace(s) - np.sum(np.linalg.solve(m_mat, sw.T) * w_new.T)) / d
-        )
-        if s2_new <= 0:
-            raise NumericError("noise variance collapsed during EM")
-        w, s2 = w_new, s2_new
-        ll = _complete_loglik(s, n, w, s2)
-        trace.append(ll)
-        if abs(ll - trace[-2]) <= cfg.tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
-    return PpcaModel(
-        loadings=w,
-        mean=mu,
-        noise_variance=s2,
-        k=k,
-        log_likelihood=trace[-1],
-        fit_trace=trace,
-        converged=converged,
-    )
-
-
-def _patterns(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group rows sharing an observation pattern: [(pattern, row_idx), ...]."""
-    pats, inverse = np.unique(observed, axis=0, return_inverse=True)
-    return [(pats[g], np.flatnonzero(inverse == g)) for g in range(pats.shape[0])]
-
-
-def _masked_estep(
-    xc: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]],
-    w: np.ndarray,
-    s2: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    d, k = w.shape
-    eye_k = np.eye(k)
-    a_stats = np.zeros((d, k, k))
-    b_stats = np.zeros((d, k))
-    ll = 0.0
-    for pattern, rows in groups:
-        wg = w[pattern]
-        h = wg.shape[0]
-        mg = wg.T @ wg + s2 * eye_k
-        sign, logdet_m = np.linalg.slogdet(mg)
-        if sign <= 0:
-            raise NumericError("posterior precision lost positive definiteness")
-        xg = xc[np.ix_(rows, pattern)]
-        bg = xg @ wg
-        means = np.linalg.solve(mg, bg.T).T
-        cov = s2 * np.linalg.inv(mg)
-        a_stats[pattern] += means.T @ means + rows.size * cov
-        b_stats[pattern] += xg.T @ means
-        quad = (xg * xg).sum() - (bg * means).sum()
-        ll += -0.5 * (
-            rows.size * (h * _LN_2PI + (h - k) * math.log(s2) + logdet_m)
-            + quad / s2
-        )
-    return a_stats, b_stats, ll
-
-
-def _fit_masked(
-    m: CauseMatrix, k: int, cfg: PpcaConfig, mask: HoldoutMask
-) -> PpcaModel:
-    x = m.values
-    n, d = x.shape
+def _observed(mask: HoldoutMask | None, n: int, d: int) -> np.ndarray:
+    if mask is None:
+        return np.ones((n, d), dtype=bool)
     if mask.held.shape != (n, d):
         raise ValidationError("holdout mask shape disagrees with the matrix")
-    observed = ~mask.held
-    col_counts = observed.sum(axis=0)
-    if np.any(col_counts < 2):
-        bad = [m.column_names[j] for j in np.flatnonzero(col_counts < 2)]
-        raise ValidationError(f"column(s) almost fully held out: {bad}")
+    return ~mask.held
 
-    mu = np.array(
-        [x[observed[:, j], j].mean() for j in range(d)], dtype=float
-    )
-    xc = np.where(observed, x - mu, 0.0)
-    groups = _patterns(observed)
-    n_obs = float(observed.sum())
-    sum_x2 = float((xc * xc).sum())
 
-    w, s2 = _init_params(x, observed, k, cfg.seed)
-    a_stats, b_stats, ll = _masked_estep(xc, groups, w, s2)
-    trace = [ll]
-    converged = False
-    for _ in range(cfg.max_iter):
-        w = np.linalg.solve(a_stats, b_stats[:, :, None])[:, :, 0]
-        s2 = float(
-            (
-                sum_x2
-                - 2.0 * np.sum(b_stats * w)
-                + np.einsum("jk,jkl,jl->", w, a_stats, w)
-            )
-            / n_obs
-        )
-        if s2 <= 0:
-            raise NumericError("noise variance collapsed during EM")
-        a_stats, b_stats, ll = _masked_estep(xc, groups, w, s2)
-        trace.append(ll)
-        if abs(ll - trace[-2]) <= cfg.tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
-    return PpcaModel(
-        loadings=w,
-        mean=mu,
-        noise_variance=s2,
-        k=k,
-        log_likelihood=trace[-1],
-        fit_trace=trace,
-        converged=converged,
+def _patterns(observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Distinct observation patterns (P, D), each row's pattern index, each pattern's rows."""
+    pats, inverse, counts = np.unique(
+        observed, axis=0, return_inverse=True, return_counts=True
     )
+    inverse = inverse.reshape(-1)
+    return pats, inverse, np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def _precisions(
+    pats: np.ndarray, w: np.ndarray, s2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (M_g^-1, L_g^-1, log det M_g) over patterns, with L_g L_g' = M_g."""
+    d, k = w.shape
+    outer = (w[:, :, None] * w[:, None, :]).reshape(d, k * k)
+    m_mat = (pats @ outer).reshape(-1, k, k) + s2 * np.eye(k)
+    try:
+        chol = np.linalg.cholesky(m_mat)
+    except np.linalg.LinAlgError:
+        raise NumericError("posterior precision lost positive definiteness") from None
+    linv = np.linalg.inv(chol)
+    minv = linv.transpose(0, 2, 1) @ linv
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return minv, linv, logdet
 
 
 def fit_ppca(
@@ -348,34 +237,96 @@ def fit_ppca(
     """
     cfg = cfg or PpcaConfig()
     _require_complete(m, "fit_ppca")
-    n, d = m.values.shape
+    x = m.values
+    n, d = x.shape
     if not 1 <= k < d:
         raise ValidationError(f"need 1 <= K < D, got K={k} with D={d}")
     if n <= k:
         raise ValidationError("need more units than latent dimensions")
+    observed = _observed(mask, n, d)
+    col_counts = observed.sum(axis=0)
+    if np.any(col_counts < 2):
+        bad = [m.column_names[j] for j in np.flatnonzero(col_counts < 2)]
+        raise ValidationError(f"column(s) almost fully held out: {bad}")
+
+    mu = np.array([x[observed[:, j], j].mean() for j in range(d)])
+    xc = np.where(observed, x - mu, 0.0)
     if mask is None:
-        return _fit_complete(m, k, cfg)
-    return _fit_masked(m, k, cfg, mask)
+        evals = np.linalg.eigvalsh(xc.T @ xc / n)
+        rank = int(np.sum(evals > max(evals.max(), 0.0) * 1e-12))
+        if rank < k:
+            raise NumericError(
+                f"sample covariance has rank {rank} < K={k}; choose a smaller K"
+            )
 
+    # EM reads a pattern's rows X_g only through X_g'X_g, so a block taller
+    # than D is replaced by its D x D triangular factor R_g (R_g'R_g = X_g'X_g).
+    pats, _, groups = _patterns(observed)
+    blocks = [xc[rows] for rows in groups]
+    xs = np.concatenate([np.linalg.qr(xg, mode="r") if len(xg) > d else xg for xg in blocks])
+    counts = np.array([rows.size for rows in groups])
+    sizes = np.minimum(counts, d)
+    starts = np.cumsum(sizes) - sizes
+    h = pats.sum(axis=1)
+    n_obs = float(observed.sum())
+    sum_x2 = float((xc * xc).sum())
+    del xc, blocks  # EM needs only xs
 
-def posterior_mean(model: PpcaModel, m: CauseMatrix) -> SurrogateConfounders:
-    """E[z | a] per unit: M^-1 W' (a - mu) with M = W'W + s2 I."""
-    _require_complete(m, "posterior_mean")
-    if m.n_causes != model.n_causes:
-        raise ValidationError("matrix width disagrees with the model")
-    w = model.loadings
-    m_mat = w.T @ w + model.noise_variance * np.eye(model.k)
-    xc = m.values - model.mean
-    values = np.linalg.solve(m_mat, w.T @ xc.T).T
-    cov = model.noise_variance * np.linalg.inv(m_mat)
-    return SurrogateConfounders(values=values, posterior_covariance=cov)
+    def estep(w: np.ndarray, s2: float) -> tuple[np.ndarray, np.ndarray, float]:
+        # A_j = sum over rows observing j of E[z z'], B = sum_i x_i E[z_i]'
+        minv, _, logdet = _precisions(pats, w, s2)
+        b = xs @ w
+        c = np.add.reduceat(b[:, :, None] * b[:, None, :], starts)  # W_g' S_g W_g
+        means = np.einsum("rkl,rl->rk", np.repeat(minv, sizes, axis=0), b)
+        second = minv @ c @ minv
+        second += (s2 * counts)[:, None, None] * minv
+        a_stats = (pats.T @ second.reshape(-1, k * k)).reshape(d, k, k)
+        quad = sum_x2 - np.einsum("gkl,glk->", minv, c)
+        ll = -0.5 * (
+            counts @ (h * _LN_2PI + (h - k) * math.log(s2) + logdet) + quad / s2
+        )
+        return a_stats, xs.T @ means, float(ll)
+
+    w, s2 = _init_params(x, observed, k, cfg.seed)
+    a_stats, b_stats, ll = estep(w, s2)
+    trace = [ll]
+    converged = False
+    for _ in range(cfg.max_iter):
+        w = np.linalg.solve(a_stats, b_stats[:, :, None])[:, :, 0]
+        s2 = float(
+            (
+                sum_x2
+                - 2.0 * np.sum(b_stats * w)
+                + np.einsum("jk,jkl,jl->", w, a_stats, w)
+            )
+            / n_obs
+        )
+        if s2 <= 0:
+            raise NumericError("noise variance collapsed during EM")
+        a_stats, b_stats, ll = estep(w, s2)
+        trace.append(ll)
+        if abs(ll - trace[-2]) <= cfg.tol * max(1.0, abs(trace[-2])):
+            converged = True
+            break
+    return PpcaModel(
+        loadings=w,
+        mean=mu,
+        noise_variance=s2,
+        k=k,
+        log_likelihood=trace[-1],
+        fit_trace=trace,
+        converged=converged,
+    )
 
 
 def posterior_mean_partial(
-    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask
+    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask | None = None
 ) -> SurrogateConfounders:
     """E[z | a_obs] per unit, conditioning only on unmasked coordinates.
 
+    Without a mask every coordinate is conditioned on: E[z | a] =
+    M^-1 W'(a - mu) with M = W'W + s2 I, and the posterior covariance is
+    one K x K matrix shared by all units. With a mask it is N x K x K.
     Rows with different holdout patterns get genuinely different linear
     maps, so these surrogates are not a single linear function of the
     causes (the full-posterior ones are, which would make a joint
@@ -385,22 +336,14 @@ def posterior_mean_partial(
     n, d = m.values.shape
     if d != model.n_causes:
         raise ValidationError("matrix width disagrees with the model")
-    if mask.held.shape != (n, d):
-        raise ValidationError("holdout mask shape disagrees with the matrix")
-    observed = ~mask.held
-    w = model.loadings
-    s2 = model.noise_variance
-    k = model.k
+    observed = _observed(mask, n, d)
+    pats, inverse, _ = _patterns(observed)
+    minv, _, _ = _precisions(pats, model.loadings, model.noise_variance)
+    rows = minv[inverse]
     xc = np.where(observed, m.values - model.mean, 0.0)
-    values = np.empty((n, k))
-    covs = np.empty((n, k, k))
-    for pattern, rows in _patterns(observed):
-        wg = w[pattern]
-        mg = wg.T @ wg + s2 * np.eye(k)
-        bg = xc[np.ix_(rows, pattern)] @ wg
-        values[rows] = np.linalg.solve(mg, bg.T).T
-        covs[rows] = s2 * np.linalg.inv(mg)
-    return SurrogateConfounders(values=values, posterior_covariance=covs)
+    values = np.einsum("nkl,nl->nk", rows, xc @ model.loadings)
+    cov = model.noise_variance * (minv[0] if mask is None else rows)
+    return SurrogateConfounders(values=values, posterior_covariance=cov)
 
 
 def predictive_check(
@@ -423,24 +366,24 @@ def predictive_check(
     score averages units ("mean") or compares pooled sums ("pooled").
     Well-calibrated models score near 0.5, broken ones near 0.
 
-    Each unit draws from its own RNG stream keyed by (seed, unit index),
-    so any parallel split over units reproduces the serial run bit for
-    bit.
+    Each unit draws from its own RNG stream keyed by (seed, i), where i
+    is the unit's row position in `m`, not its unit id. A split over
+    units reproduces the serial run bit for bit only if every part keeps
+    the global row indices; scoring a row subset as its own matrix
+    renumbers the rows and so changes their streams.
     """
     _require_complete(m, "predictive_check")
     n, d = m.values.shape
     if d != model.n_causes:
         raise ValidationError("matrix width disagrees with the model")
-    if mask.held.shape != (n, d):
-        raise ValidationError("holdout mask shape disagrees with the matrix")
+    observed = _observed(mask, n, d)
     if replications < 10 or mc_samples < 10:
         raise ValidationError("need replications >= 10 and mc_samples >= 10")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     if method not in ("mean", "pooled"):
         raise ValidationError("method must be 'mean' or 'pooled'")
-    held = mask.held
-    if np.any(~held.any(axis=1)):
+    if np.any(observed.all(axis=1)):
         raise ValidationError("every row needs at least one held-out entry")
 
     w = model.loadings
@@ -448,18 +391,17 @@ def predictive_check(
     sigma = math.sqrt(s2)
     k = model.k
     xc = m.values - model.mean
+    pats, _, groups = _patterns(observed)
+    minv, linv, _ = _precisions(pats, w, s2)
 
     per_unit = np.empty(n)
     pooled_real = 0.0
     pooled_rep = np.zeros(replications)
-    for pattern, rows in _patterns(~held):
-        wg = w[pattern]
-        mg = wg.T @ wg + s2 * np.eye(k)
-        lg = np.linalg.cholesky(mg)
+    for g, rows in enumerate(groups):
         # factor F with F F' = posterior covariance s2 * M^-1
-        factor = sigma * np.linalg.inv(lg).T
-        means = np.linalg.solve(mg, (xc[np.ix_(rows, pattern)] @ wg).T).T
-        hd = ~pattern
+        factor = sigma * linv[g].T
+        means = xc[np.ix_(rows, pats[g])] @ w[pats[g]] @ minv[g].T
+        hd = ~pats[g]
         wh = w[hd]
         h = int(hd.sum())
         const = -0.5 * h * math.log(2.0 * math.pi * s2)

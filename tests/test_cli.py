@@ -542,6 +542,46 @@ def test_mediator_cannot_be_a_covariate(mediation_data, tmp_path, capsys):
     assert "cannot also be a covariate" in capsys.readouterr().err
 
 
+def test_mediator_cannot_be_the_id_column(mediation_data, tmp_path, capsys):
+    code = run(
+        "mediate",
+        "--input",
+        mediation_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--mediator",
+        "id",
+        "--seed",
+        0,
+        "--out",
+        tmp_path,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli] --mediator names the --id-column 'id'")
+
+
+def test_robustness_rejects_covariates(mediation_data, tmp_path, capsys):
+    code = run(
+        "robustness",
+        "--input",
+        mediation_data / "data.csv",
+        "--outcome",
+        "popularity",
+        "--covariates",
+        "rating",
+        "--seed",
+        0,
+        "--out",
+        tmp_path,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli] robustness takes no --covariates")
+    assert "--ignore" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.fixture(scope="module")
 def fit_dir(flip_data, tmp_path_factory):
     d = tmp_path_factory.mktemp("fit")

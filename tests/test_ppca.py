@@ -2,7 +2,8 @@
 
 The EM maximum for complete data has a closed form from the sample
 spectrum, which gives an exact oracle for the fit; posterior formulas
-are checked against hand-derived special cases and scipy linear algebra.
+are checked against hand-derived special cases and scipy linear algebra,
+and the fitted likelihood against scipy's multivariate normal, row by row.
 """
 
 import math
@@ -10,6 +11,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
 from multicause.errors import NumericError, ValidationError
@@ -19,7 +23,6 @@ from multicause.ppca import (
     PpcaModel,
     closed_form_max_loglik,
     fit_ppca,
-    posterior_mean,
     posterior_mean_partial,
     predictive_check,
 )
@@ -106,7 +109,7 @@ def test_posterior_mean_formula_and_small_noise_limit():
         k=2,
         log_likelihood=0.0,
     )
-    sur = posterior_mean(model, m)
+    sur = posterior_mean_partial(model, m)
     xc = m.values - model.mean
     expected = scipy.linalg.solve(
         W_TRUE.T @ W_TRUE + 0.2 * np.eye(2), W_TRUE.T @ xc.T
@@ -126,7 +129,7 @@ def test_posterior_mean_formula_and_small_noise_limit():
         log_likelihood=0.0,
     )
     proj = (np.linalg.pinv(W_TRUE) @ xc.T).T
-    assert np.allclose(posterior_mean(tiny, m).values, proj, atol=1e-6)
+    assert np.allclose(posterior_mean_partial(tiny, m).values, proj, atol=1e-6)
 
 
 def test_posterior_mean_single_factor_hand_formula():
@@ -135,7 +138,7 @@ def test_posterior_mean_single_factor_hand_formula():
         loadings=w, mean=np.ones(3), noise_variance=0.5, k=1, log_likelihood=0.0
     )
     m = matrix_from([[3.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
-    sur = posterior_mean(model, m)
+    sur = posterior_mean_partial(model, m)
     # z = w'(a - mu) / (w'w + s2), with w'w = 6
     assert sur.values[0, 0] == pytest.approx((2 * 2 + 1 * 1 - 1 * -1) / 6.5)
     assert sur.values[1, 0] == pytest.approx(0.0, abs=1e-12)
@@ -145,7 +148,7 @@ def test_partial_posterior_with_nothing_held_matches_full():
     m, _ = sample_ppca(80, W_TRUE, 0.3, seed=7)
     model = fit_ppca(m, 2, PpcaConfig(seed=0))
     empty = HoldoutMask(np.zeros((80, 6), dtype=bool))
-    full = posterior_mean(model, m)
+    full = posterior_mean_partial(model, m)
     part = posterior_mean_partial(model, m, empty)
     assert np.allclose(part.values, full.values, atol=1e-12)
     assert part.posterior_covariance.shape == (80, 2, 2)
@@ -261,6 +264,11 @@ def test_fit_rejects_k_out_of_range_and_rank_deficiency():
     with pytest.raises(NumericError) as err:
         fit_ppca(rank1, 2)
     assert "rank" in str(err.value)
+    # a column observed in a single row cannot be fitted
+    held = np.zeros((100, 6), dtype=bool)
+    held[1:, 3] = True
+    with pytest.raises(ValidationError, match="almost fully held out"):
+        fit_ppca(m, 2, mask=HoldoutMask(held))
 
 
 def test_missing_data_is_rejected_everywhere():
@@ -277,7 +285,7 @@ def test_missing_data_is_rejected_everywhere():
         log_likelihood=0.0,
     )
     with pytest.raises(ValidationError):
-        posterior_mean(model, m)
+        posterior_mean_partial(model, m)
 
 
 def test_model_serialization_round_trip():
@@ -299,3 +307,75 @@ def test_model_serialization_round_trip():
 
 def test_default_latent_dimensions():
     assert DEFAULT_K == {"rating": 10, "popularity": 5, "custom": 5}
+
+
+@st.composite
+def oracle_problems(draw):
+    """Random PPCA data, K and a holdout mask (None for complete data).
+
+    The mask has one pattern shared by more than D rows, so EM compresses
+    that block, next to random patterns with few rows each.
+    """
+    d = draw(st.integers(3, 7))
+    k = draw(st.integers(1, d - 1))
+    n = draw(st.integers(30, 120))
+    rate = draw(st.sampled_from([0.0, 0.15, 0.35]))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, k))
+    m, _ = sample_ppca(n, w, 0.2 + rng.random(), seed, mu=rng.standard_normal(d))
+    if rate == 0.0:
+        return m, k, None, seed
+    held = rng.random((n, d)) < rate
+    tall = d + 1 + seed % 5
+    held[:tall] = False
+    held[:tall, seed % d] = True
+    held[-2:] = False  # every column keeps two observed entries
+    held[held.all(axis=1), seed % d] = False
+    _, counts = np.unique(~held, axis=0, return_counts=True)
+    assume(counts.min() <= d)
+    return m, k, HoldoutMask(held), seed
+
+
+ORACLE = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+def observed_of(m, mask):
+    return np.ones(m.values.shape, dtype=bool) if mask is None else ~mask.held
+
+
+@ORACLE
+@given(oracle_problems())
+def test_fitted_loglik_matches_scipy_row_by_row(problem):
+    m, k, mask, seed = problem
+    observed = observed_of(m, mask)
+    model = fit_ppca(m, k, PpcaConfig(max_iter=15, seed=seed), mask=mask)
+    w, mu, s2 = model.loadings, model.mean, model.noise_variance
+    expected = 0.0
+    for i, obs in enumerate(observed):
+        cov = w[obs] @ w[obs].T + s2 * np.eye(int(obs.sum()))
+        expected += scipy.stats.multivariate_normal(mu[obs], cov).logpdf(m.values[i, obs])
+    assert model.log_likelihood == pytest.approx(expected, rel=1e-9)
+
+
+@ORACLE
+@given(oracle_problems())
+def test_partial_posterior_matches_per_row_solve(problem):
+    m, k, mask, seed = problem
+    d = m.n_causes
+    rng = np.random.default_rng(seed + 1)
+    model = PpcaModel(
+        loadings=rng.standard_normal((d, k)),
+        mean=rng.standard_normal(d),
+        noise_variance=0.1 + rng.random(),
+        k=k,
+        log_likelihood=0.0,
+    )
+    sur = posterior_mean_partial(model, m, mask)
+    w, s2 = model.loadings, model.noise_variance
+    for i, obs in enumerate(observed_of(m, mask)):
+        mg = w[obs].T @ w[obs] + s2 * np.eye(k)
+        zi = scipy.linalg.solve(mg, w[obs].T @ (m.values[i, obs] - model.mean[obs]))
+        np.testing.assert_allclose(sur.values[i], zi, rtol=1e-9, atol=1e-12)
+        cov = sur.posterior_covariance if mask is None else sur.posterior_covariance[i]
+        np.testing.assert_allclose(cov, s2 * scipy.linalg.inv(mg), rtol=1e-9, atol=1e-12)
