@@ -153,7 +153,9 @@ class HoldoutMask:
         return int(self.held.sum())
 
     def to_dict(self) -> dict:
-        return {"held": [[int(j) for j in np.flatnonzero(row)] for row in self.held]}
+        cols = np.nonzero(self.held)[1].tolist()
+        ends = np.cumsum(self.held.sum(axis=1)).tolist()
+        return {"held": [cols[a:b] for a, b in zip([0, *ends], ends)]}
 
     @classmethod
     def from_dict(cls, payload, shape: tuple[int, int]) -> "HoldoutMask":

@@ -13,6 +13,13 @@ which depends on the row only through its observation pattern g:
 precision M_g = W_g'W_g + s2 I, mean M_g^-1 W_g'(a_g - mu_g), covariance
 s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked call
 and serves the EM, the surrogates and the check.
+
+The check scores units array-at-a-time: rows with the same held count h
+are taken in fixed-size chunks across patterns, each row gathers its
+pattern's posterior factor and its held loadings, and the draws and t
+statistics of a chunk come from stacked matmuls. Every unit still draws
+from its own stream in the same order as a unit-by-unit loop would, so
+the per-unit scores do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ _LN_2PI = math.log(2.0 * math.pi)
 
 # fit_ppca latent dimension defaults by outcome kind
 DEFAULT_K = {"rating": 10, "popularity": 5, "custom": 5}
+
+# Units the predictive check scores per stacked batch. Larger batches cut
+# numpy's per-call overhead further but grow the (rows, S, ...) work arrays,
+# and with them peak RSS; 16 keeps those arrays to a few hundred KB.
+_CHECK_CHUNK = 16
 
 
 @dataclass
@@ -68,6 +80,12 @@ class PpcaModel:
             raise ValidationError("mean length disagrees with loadings")
         if not self.noise_variance > 0:
             raise ValidationError("noise variance must be strictly positive")
+        if not (
+            np.isfinite(self.loadings).all()
+            and np.isfinite(self.mean).all()
+            and math.isfinite(self.noise_variance)
+        ):
+            raise ValidationError("loadings, mean and noise variance must be finite")
 
     @property
     def n_causes(self) -> int:
@@ -197,12 +215,18 @@ def _observed(mask: HoldoutMask | None, n: int, d: int) -> np.ndarray:
 
 
 def _patterns(observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Distinct observation patterns (P, D), each row's pattern index, each pattern's rows."""
-    pats, inverse, counts = np.unique(
-        observed, axis=0, return_inverse=True, return_counts=True
+    """Distinct observation patterns (P, D), each row's pattern index, each pattern's rows.
+
+    Rows are sorted as packed-bit keys; memcmp order on MSB-first bytes is
+    the lexicographic row order `np.unique(observed, axis=0)` gives.
+    """
+    packed = np.packbits(observed, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
-    inverse = inverse.reshape(-1)
-    return pats, inverse, np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return observed[first], inverse, groups
 
 
 def _precisions(
@@ -367,10 +391,16 @@ def predictive_check(
     Well-calibrated models score near 0.5, broken ones near 0.
 
     Each unit draws from its own RNG stream keyed by (seed, i), where i
-    is the unit's row position in `m`, not its unit id. A split over
-    units reproduces the serial run bit for bit only if every part keeps
-    the global row indices; scoring a row subset as its own matrix
-    renumbers the rows and so changes their streams.
+    is the unit's row position in `m`, not its unit id: one call draws
+    S*K posterior normals for the statistic, then R*K for the replicates'
+    z, then R*h replicate noises. A split over units reproduces the serial
+    per-unit scores bit for bit only if every part keeps the global row
+    indices; scoring a row subset as its own matrix renumbers the rows and
+    so changes their streams.
+
+    Units are scored in chunks of `_CHECK_CHUNK` rows sharing a held count
+    h, taken across patterns in row order, so the loop runs over chunks
+    rather than units; only the per-unit stream set-up stays in Python.
     """
     _require_complete(m, "predictive_check")
     n, d = m.values.shape
@@ -391,39 +421,53 @@ def predictive_check(
     sigma = math.sqrt(s2)
     k = model.k
     xc = m.values - model.mean
-    pats, _, groups = _patterns(observed)
+    pats, inverse, _ = _patterns(observed)
     minv, linv, _ = _precisions(pats, w, s2)
+    stat_end, rep_end = mc_samples * k, (mc_samples + replications) * k
 
     per_unit = np.empty(n)
     pooled_real = 0.0
     pooled_rep = np.zeros(replications)
-    for g, rows in enumerate(groups):
-        # factor F with F F' = posterior covariance s2 * M^-1
-        factor = sigma * linv[g].T
-        means = xc[np.ix_(rows, pats[g])] @ w[pats[g]] @ minv[g].T
-        hd = ~pats[g]
-        wh = w[hd]
-        h = int(hd.sum())
+    held_count = d - observed.sum(axis=1)
+    by_count = np.argsort(held_count, kind="stable")
+    # bincount, not np.unique: unique on a numeric array imports numpy.ma,
+    # which costs about 1 MB of peak RSS in a run that needs nothing else of it
+    for h in np.flatnonzero(np.bincount(held_count)).tolist():
+        same_h = by_count[held_count[by_count] == h]
         const = -0.5 * h * math.log(2.0 * math.pi * s2)
-        for idx, i in enumerate(rows):
-            rng = np.random.default_rng([seed, int(i)])
-            z_stat = means[idx] + rng.standard_normal((mc_samples, k)) @ factor.T
-            nu = z_stat @ wh.T  # (S, H) predicted centered means
-            nu_bar = nu.mean(axis=0)
-            nu_sq = (nu * nu).mean(axis=0)
+        draws = np.empty((_CHECK_CHUNK, rep_end + replications * h))
+        for start in range(0, same_h.size, _CHECK_CHUNK):
+            rows = same_h[start : start + _CHECK_CHUNK]
+            c = rows.size
+            for j, i in enumerate(rows):
+                np.random.default_rng([seed, int(i)]).standard_normal(out=draws[j])
+            obs = observed[rows]
+            g = inverse[rows]
+            cols = np.nonzero(~obs)[1].reshape(c, h)
+            wh_t = w[cols].transpose(0, 2, 1)  # (c, K, h)
+            # factor F' per row, with F F' = posterior covariance s2 * M^-1
+            factor_t = sigma * linv[g]
+            # posterior means, as posterior_mean_partial computes them
+            means = np.einsum(
+                "ckl,cl->ck", minv[g], np.where(obs, xc[rows], 0.0) @ w
+            )[:, None, :]
+            eps = draws[:c, :stat_end].reshape(c, mc_samples, k)
+            nu = (means + eps @ factor_t) @ wh_t  # (c, S, h) predicted centered means
+            nu_bar = nu.mean(axis=1, keepdims=True)
+            nu_sq = (nu * nu).mean(axis=1, keepdims=True)
 
             def t_stat(a_held):
                 # (1/S) sum_s log N(a | nu_s, s2) via the quadratic expansion
                 quad = (a_held * a_held - 2.0 * a_held * nu_bar + nu_sq).sum(axis=-1)
                 return const - quad / (2.0 * s2)
 
-            t_real = t_stat(xc[i, hd])
-            z_rep = means[idx] + rng.standard_normal((replications, k)) @ factor.T
-            reps = z_rep @ wh.T + sigma * rng.standard_normal((replications, h))
-            t_rep = t_stat(reps)
-            per_unit[i] = float(np.mean(t_rep < t_real))
-            pooled_real += t_real
-            pooled_rep += t_rep
+            t_real = t_stat(xc[rows[:, None], cols][:, None, :])  # (c, 1)
+            eps = draws[:c, stat_end:rep_end].reshape(c, replications, k)
+            noise = draws[:c, rep_end:].reshape(c, replications, h)
+            t_rep = t_stat((means + eps @ factor_t) @ wh_t + sigma * noise)  # (c, R)
+            per_unit[rows] = np.mean(t_rep < t_real, axis=1)
+            pooled_real += float(t_real.sum())
+            pooled_rep += t_rep.sum(axis=0)
 
     if method == "mean":
         score = float(per_unit.mean())

@@ -302,6 +302,22 @@ def test_check_refuses_model_from_other_columns(flip_data, sparse_data, tmp_path
     assert "different columns" in capsys.readouterr().err
 
 
+def test_check_rejects_model_with_nan_loading(flip_data, tmp_path, capsys):
+    fit_dir = tmp_path / "fit"
+    data = ("--input", flip_data / "data.csv", "--outcome", "popularity",
+            "--corr-threshold", 0.95, "--seed", 0)
+    assert run("fit-ppca", *data, "--out", fit_dir) == 0
+    model = read_json(fit_dir, "model.json")
+    model["loadings"][0][0] = float("nan")
+    (fit_dir / "model.json").write_text(json.dumps(model))
+    code = run("check", *data, "--model", fit_dir / "model.json",
+               "--mask", fit_dir / "holdout.json", "--out", tmp_path / "chk")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error [ppca]" in err
+    assert "must be finite" in err
+
+
 def test_impute_cli_round_trip(sparse_data, tmp_path):
     out1 = tmp_path / "first"
     code = run(

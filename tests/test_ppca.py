@@ -6,6 +6,7 @@ are checked against hand-derived special cases and scipy linear algebra,
 and the fitted likelihood against scipy's multivariate normal, row by row.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
 from multicause.errors import NumericError, ValidationError
 from multicause.ppca import (
+    _CHECK_CHUNK,
     DEFAULT_K,
     PpcaConfig,
     PpcaModel,
     closed_form_max_loglik,
     fit_ppca,
+    _patterns,
     posterior_mean_partial,
     predictive_check,
 )
@@ -305,6 +308,21 @@ def test_model_serialization_round_trip():
         PpcaModel.from_dict({"loadings": [[1.0]]})
 
 
+def test_model_rejects_non_finite_parameters():
+    good = dict(loadings=W_TRUE, mean=np.zeros(6), noise_variance=0.2, k=2, log_likelihood=0.0)
+    bad_loadings = W_TRUE.copy()
+    bad_loadings[3, 1] = np.nan
+    bad_mean = np.zeros(6)
+    bad_mean[0] = np.inf
+    for change in (
+        {"loadings": bad_loadings},
+        {"mean": bad_mean},
+        {"noise_variance": math.inf},
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            PpcaModel(**{**good, **change})
+
+
 def test_default_latent_dimensions():
     assert DEFAULT_K == {"rating": 10, "popularity": 5, "custom": 5}
 
@@ -379,3 +397,119 @@ def test_partial_posterior_matches_per_row_solve(problem):
         np.testing.assert_allclose(sur.values[i], zi, rtol=1e-9, atol=1e-12)
         cov = sur.posterior_covariance if mask is None else sur.posterior_covariance[i]
         np.testing.assert_allclose(cov, s2 * scipy.linalg.inv(mg), rtol=1e-9, atol=1e-12)
+
+
+def test_patterns_match_numpy_unique_across_byte_boundaries():
+    rng = np.random.default_rng(0)
+    for d in range(2, 71):
+        observed = rng.random((200, d)) < 0.8
+        observed[::3] = observed[0]  # some patterns shared by many rows
+        pats, inverse, groups = _patterns(observed)
+        ref, ref_inverse, counts = np.unique(
+            observed, axis=0, return_inverse=True, return_counts=True
+        )
+        ref_inverse = ref_inverse.reshape(-1)
+        ref_groups = np.split(np.argsort(ref_inverse, kind="stable"), np.cumsum(counts)[:-1])
+        assert pats.dtype == bool and np.array_equal(pats, ref), d
+        assert np.array_equal(inverse, ref_inverse), d
+        assert len(groups) == len(ref_groups)
+        assert all(np.array_equal(a, b) for a, b in zip(groups, ref_groups)), d
+
+
+def reference_check(model, m, mask, replications, mc_samples, seed):
+    """The predictive check as a unit-by-unit loop: (per-unit, mean, pooled)."""
+    w, s2, k = model.loadings, model.noise_variance, model.k
+    sigma = math.sqrt(s2)
+    xc = m.values - model.mean
+    per_unit = np.empty(m.values.shape[0])
+    pooled_real, pooled_rep = 0.0, np.zeros(replications)
+    for i, hd in enumerate(mask.held):
+        ob = ~hd
+        linv = np.linalg.inv(np.linalg.cholesky(w[ob].T @ w[ob] + s2 * np.eye(k)))
+        minv = linv.T @ linv
+        factor = sigma * linv.T  # F F' = s2 M^-1, with M = L L'
+        mean = xc[i, ob] @ w[ob] @ minv.T
+        wh, h = w[hd], int(hd.sum())
+        const = -0.5 * h * math.log(2.0 * math.pi * s2)
+        rng = np.random.default_rng([seed, i])
+        nu = (mean + rng.standard_normal((mc_samples, k)) @ factor.T) @ wh.T
+        nu_bar, nu_sq = nu.mean(axis=0), (nu * nu).mean(axis=0)
+
+        def t_stat(a):
+            return const - (a * a - 2.0 * a * nu_bar + nu_sq).sum(axis=-1) / (2.0 * s2)
+
+        t_real = t_stat(xc[i, hd])
+        z_rep = mean + rng.standard_normal((replications, k)) @ factor.T
+        t_rep = t_stat(z_rep @ wh.T + sigma * rng.standard_normal((replications, h)))
+        per_unit[i] = np.mean(t_rep < t_real)
+        pooled_real += t_real
+        pooled_rep += t_rep
+    return per_unit, per_unit.mean(), np.mean(pooled_rep < pooled_real)
+
+
+@st.composite
+def check_problems(draw):
+    """A PPCA model, data drawn from it and a mask mixing held counts h.
+
+    The first block of rows all hold out one column and outnumber a check
+    chunk, so that h-group is scored in several chunks; the rest hold out
+    random columns, so several h share those chunks across patterns.
+    """
+    d = draw(st.integers(3, 9))
+    k = draw(st.integers(1, d - 1))
+    seed = draw(st.integers(0, 10_000))
+    ones = _CHECK_CHUNK + 1 + seed % _CHECK_CHUNK
+    n = draw(st.integers(ones + 2, ones + 3 * _CHECK_CHUNK))
+    rng = np.random.default_rng(seed)
+    model = PpcaModel(
+        loadings=rng.standard_normal((d, k)),
+        mean=rng.standard_normal(d),
+        noise_variance=0.1 + rng.random(),
+        k=k,
+        log_likelihood=0.0,
+    )
+    m, _ = sample_ppca(n, model.loadings, model.noise_variance, seed, mu=model.mean)
+    held = rng.random((n, d)) < draw(st.sampled_from([0.2, 0.5]))
+    held[:ones] = False
+    held[np.arange(ones), rng.integers(0, d, ones)] = True
+    held[-1, :2] = True  # at least one row with h >= 2
+    empty = ~held.any(axis=1)
+    held[empty, rng.integers(0, d, int(empty.sum()))] = True
+    full = held.all(axis=1)
+    held[full, rng.integers(0, d, int(full.sum()))] = False
+    return model, m, HoldoutMask(held), seed
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(check_problems(), st.sampled_from([(10, 12), (23, 10)]))
+def test_chunked_check_equals_unit_by_unit_loop(problem, sizes):
+    model, m, mask, seed = problem
+    replications, mc_samples = sizes
+    held_counts = mask.held.sum(axis=1)
+    assert np.unique(held_counts).size > 1
+    assert np.bincount(held_counts).max() > _CHECK_CHUNK
+    per_unit, mean_score, pooled_score = reference_check(
+        model, m, mask, replications, mc_samples, seed
+    )
+    for method, expected in (("mean", mean_score), ("pooled", pooled_score)):
+        res = predictive_check(
+            model, m, mask, replications=replications, mc_samples=mc_samples,
+            seed=seed, method=method,
+        )
+        assert np.array_equal(res.per_unit_scores, per_unit)
+        assert res.score == expected
+
+
+def test_check_streams_are_pinned():
+    # Any change to the per-unit streams or their draw order changes this digest.
+    rng = np.random.default_rng(2024)
+    m, _ = sample_ppca(40, W_TRUE, 0.3, seed=23)
+    held = rng.random((40, 6)) < 0.3
+    held[~held.any(axis=1), 0] = True
+    held[held.all(axis=1), 1] = False
+    model = PpcaModel(
+        loadings=W_TRUE, mean=np.zeros(6), noise_variance=0.3, k=2, log_likelihood=0.0
+    )
+    res = predictive_check(model, m, HoldoutMask(held), replications=20, mc_samples=20, seed=3)
+    digest = hashlib.sha256(res.per_unit_scores.tobytes()).hexdigest()
+    assert digest == "40f90409022893bf95efebb1f442e6c0ee2080c6c3fcfde7628c8ad27b10aebf"
