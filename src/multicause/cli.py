@@ -147,7 +147,7 @@ def _load(args):
 def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
-    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations, seed=args.seed))
+    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
     return res.matrix, {
         "ran": True,
         "sweeps": res.sweeps,
@@ -430,7 +430,7 @@ _INPUT = [
     _flag("--mice-iterations", type=int, default=10),
 ]
 _OPTIONAL_OUTCOME = _flag("--outcome", default=None, help="outcome column name (optional)")
-_IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _flag("--seed", type=int, default=0), _OUT]
+_IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _OUT]
 _PREPARE = [*_INPUT, _flag("--corr-threshold", type=float, default=0.7), _SEED, _OUT]
 _FIT = [
     _flag("-k", "--latent-dim", dest="k_requested", type=int, default=None),

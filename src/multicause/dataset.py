@@ -3,12 +3,14 @@
 Causes live in an N x D matrix with an explicit missingness mask
 (NaN in `values` at exactly the masked cells). Outcomes are per-unit
 vectors and never missing. All CSV input is RFC-4180, UTF-8, header
-required; empty string and "NA" denote missing cause entries.
+required; empty string and "NA" denote missing cause entries, and every
+other cell must parse as a finite number (nan and inf are rejected).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,10 +150,6 @@ class HoldoutMask:
         if np.any(self.held.all(axis=1)):
             raise ValidationError("every row must retain at least one observed entry")
 
-    @property
-    def n_held(self) -> int:
-        return int(self.held.sum())
-
     def to_dict(self) -> dict:
         cols = np.nonzero(self.held)[1].tolist()
         ends = np.cumsum(self.held.sum(axis=1)).tolist()
@@ -190,11 +188,12 @@ def _parse_cell(text: str, row_line: int, column: str, allow_missing: bool) -> f
             f"line {row_line}: missing value in non-cause column '{column}'"
         )
     try:
-        return float(stripped)
+        value = float(stripped)
     except ValueError:
-        raise ParseError(
-            f"cannot parse '{stripped}' in column '{column}'", line=row_line
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):  # nan and inf parse, but are not data
+        raise ParseError(f"'{stripped}' in column '{column}' is not a finite number", row_line)
+    return value
 
 
 def read_header(path: str) -> list[str]:

@@ -3,8 +3,9 @@
 ols_fit carries the full inferential load for the package: coefficients
 from a rank-revealing solve of the normal equations, classical standard
 errors, Student-t p-values (see tdist), and 95% confidence intervals.
-The causal estimator regresses the outcome on the causes plus surrogate
-confounders; the non-causal one omits the surrogates.
+Every outcome regression in the package is fitted on the design that
+outcome_design lays out. The causal estimator regresses the outcome on
+the causes plus surrogate confounders; the non-causal one omits them.
 """
 
 from __future__ import annotations
@@ -172,40 +173,51 @@ def ols_fit(design: np.ndarray, y, names: list[str] | None = None) -> Regression
     return RegressionReport(rows=rows, residual_variance=s2, n=n, dof=dof)
 
 
-def _surrogate_design(z: SurrogateConfounders) -> tuple[np.ndarray, list[int]]:
-    """Usable surrogate columns: constant ones carry nothing and are dropped."""
-    zv = np.asarray(z.values, dtype=float)
-    keep = [j for j in range(zv.shape[1]) if np.ptp(zv[:, j]) > 0.0]
-    return zv[:, keep], keep
-
-
-def _check_lengths(n: int, *lengths: int) -> None:
-    if any(l != n for l in lengths):
-        raise ValidationError("inputs disagree on the number of units")
-
-
-def estimate_effects_causal(
+def outcome_design(
     a: CauseMatrix,
-    z: SurrogateConfounders,
-    y: OutcomeVector,
-    x: CovariateMatrix | None = None,
-) -> CausalEffectEstimate:
-    """Regress the outcome on [intercept | causes | surrogates | covariates]."""
+    z: SurrogateConfounders | None,
+    x: CovariateMatrix | None,
+    *outcomes: np.ndarray,
+    causes: list[str] | None = None,
+) -> tuple[np.ndarray, list[str], list[int]]:
+    """[intercept | causes | surrogates | covariates], its names, kept z columns.
+
+    The causes come in column order, or as the named `causes` in the order
+    given. Constant surrogate columns carry nothing and are dropped; the
+    rest keep their index in the name z{j+1}. The surrogates, covariates
+    and each of `outcomes` must have one row per unit.
+    """
     if a.has_missing:
         raise ValidationError("causes must be complete; impute first")
-    yv = _as_vector(y)
-    zv, kept = _surrogate_design(z)
-    _check_lengths(a.n_units, yv.shape[0], z.values.shape[0])
-    blocks = [np.ones((a.n_units, 1)), a.values, zv]
-    names = ["Intercept"] + list(a.column_names) + [f"z{j + 1}" for j in kept]
+    n = a.n_units
+    names = ["Intercept", *(a.column_names if causes is None else causes)]
+    # copy columns only for a subset: the copy is Fortran-ordered, and the
+    # design's memory layout moves the OLS solution in the last bits
+    if causes is not None:
+        blocks = [np.ones((n, 1)), a.values[:, [a.column_names.index(c) for c in causes]]]
+    else:
+        blocks = [np.ones((n, 1)), a.values]
+    kept: list[int] = []
+    if z is not None:
+        zv = np.asarray(z.values, dtype=float)
+        kept = [j for j in range(zv.shape[1]) if np.ptp(zv[:, j]) > 0.0]
+        blocks.append(zv[:, kept])
+        names += [f"z{j + 1}" for j in kept]
     if x is not None:
-        _check_lengths(a.n_units, x.values.shape[0])
         blocks.append(x.values)
         names += list(x.column_names)
-    report = ols_fit(np.column_stack(blocks), yv, names)
+    if any(v.shape[0] != n for v in [*blocks[2:], *outcomes]):
+        raise ValidationError("inputs disagree on the number of units")
+    return np.column_stack(blocks), names, kept
+
+
+def _estimate(a, z, y, x) -> CausalEffectEstimate:
+    yv = _as_vector(y)
+    design, names, kept = outcome_design(a, z, x, yv)
+    report = ols_fit(design, yv, names)
     coefs = report.coefficients()
     d = a.n_causes
-    gamma = np.zeros(z.values.shape[1])
+    gamma = np.zeros(0 if z is None else z.values.shape[1])
     gamma[kept] = coefs[1 + d : 1 + d + len(kept)]
     return CausalEffectEstimate(
         beta=coefs[1 : 1 + d],
@@ -215,29 +227,23 @@ def estimate_effects_causal(
     )
 
 
+def estimate_effects_causal(
+    a: CauseMatrix,
+    z: SurrogateConfounders,
+    y: OutcomeVector,
+    x: CovariateMatrix | None = None,
+) -> CausalEffectEstimate:
+    """Regress the outcome on [intercept | causes | surrogates | covariates]."""
+    return _estimate(a, z, y, x)
+
+
 def estimate_effects_noncausal(
     a: CauseMatrix,
     y: OutcomeVector,
     x: CovariateMatrix | None = None,
 ) -> CausalEffectEstimate:
     """Same regression without the surrogate block (the naive estimator)."""
-    if a.has_missing:
-        raise ValidationError("causes must be complete; impute first")
-    yv = _as_vector(y)
-    _check_lengths(a.n_units, yv.shape[0])
-    blocks = [np.ones((a.n_units, 1)), a.values]
-    names = ["Intercept"] + list(a.column_names)
-    if x is not None:
-        _check_lengths(a.n_units, x.values.shape[0])
-        blocks.append(x.values)
-        names += list(x.column_names)
-    report = ols_fit(np.column_stack(blocks), yv, names)
-    return CausalEffectEstimate(
-        beta=report.coefficients()[1 : 1 + a.n_causes],
-        gamma=np.empty(0),
-        cause_names=list(a.column_names),
-        report=report,
-    )
+    return _estimate(a, None, y, x)
 
 
 def contrast(
@@ -267,40 +273,23 @@ def predictive_comparison(
     """
     if not 0.0 < split < 1.0:
         raise ValidationError("split must lie strictly in (0, 1)")
-    if a.has_missing:
-        raise ValidationError("causes must be complete; impute first")
     yv = _as_vector(y)
-    zv, kept = _surrogate_design(z)
-    _check_lengths(a.n_units, yv.shape[0], z.values.shape[0])
-    xv = None
-    if x is not None:
-        _check_lengths(a.n_units, x.values.shape[0])
-        xv = x.values
+    causal, naive = outcome_design(a, z, x, yv)[0], outcome_design(a, None, x, yv)[0]
 
     n = a.n_units
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_test = max(1, int(split * n))
     test, train = perm[:n_test], perm[n_test:]
-    q_causal = 1 + a.n_causes + zv.shape[1] + (0 if xv is None else xv.shape[1])
-    if n_test < q_causal + 1:
+    if n_test < causal.shape[1] + 1:
         raise ValidationError(
-            f"test split of {n_test} rows is too small for {q_causal - 1} predictors"
+            f"test split of {n_test} rows is too small for {causal.shape[1] - 1} predictors"
         )
 
-    def blocks(rows, with_z):
-        parts = [np.ones((rows.size, 1)), a.values[rows]]
-        if with_z:
-            parts.append(zv[rows])
-        if xv is not None:
-            parts.append(xv[rows])
-        return np.column_stack(parts)
-
     out = {}
-    for label, with_z in (("causal", True), ("noncausal", False)):
-        fit = ols_fit(blocks(train, with_z), yv[train])
-        pred = blocks(test, with_z) @ fit.coefficients()
-        err = yv[test] - pred
+    for label, design in (("causal", causal), ("noncausal", naive)):
+        fit = ols_fit(design[train], yv[train])
+        err = yv[test] - design[test] @ fit.coefficients()
         out[label] = {
             "mse": float(np.mean(err * err)),
             "mae": float(np.mean(np.abs(err))),

@@ -22,8 +22,6 @@ from .errors import ValidationError
 class MiceConfig:
     iterations: int = 10
     convergence_tol: float = 1e-6
-    seed: int = 0
-    randomize_order: bool = False  # seed only matters when this is on
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -75,7 +73,6 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
     # d == 1 with missing cells cannot reach this point: each missing
     # entry is a fully unobserved unit and is rejected above.
 
-    rng = np.random.default_rng(cfg.seed)
     fallback: set[str] = set()
     sweeps = 0
     converged = False
@@ -83,10 +80,7 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
     for _ in range(cfg.iterations):
         sweeps += 1
         previous = x[miss].copy()
-        order = list(targets)
-        if cfg.randomize_order:
-            order = [targets[k] for k in rng.permutation(len(targets))]
-        for j in order:
+        for j in targets:
             rows = ~miss[:, j]
             others = [k for k in range(d) if k != j]
             design = np.column_stack([np.ones(int(rows.sum())), x[rows][:, others]])

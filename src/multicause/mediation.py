@@ -1,6 +1,7 @@
 """Four-step mediation analysis with surrogate-confounder adjustment.
 
-Steps, all sharing the [intercept | causes | surrogates] base design:
+Steps, all sharing the [intercept | causes | surrogates | covariates] base
+design that effects.outcome_design lays out:
   1. outcome on causes (total effects, beta)
   2. mediator on causes (theta)
   3. outcome on mediator alone (does the mediator matter at all?)
@@ -19,7 +20,7 @@ import numpy as np
 
 from .dataset import CauseMatrix, CovariateMatrix, OutcomeVector
 from .errors import NumericError, ValidationError
-from .effects import RegressionReport, _surrogate_design, ols_fit
+from .effects import RegressionReport, ols_fit, outcome_design
 from .ppca import SurrogateConfounders
 
 MEDIATOR_NAME = "mediator"
@@ -71,30 +72,16 @@ def mediate(
     alpha: float = 0.05,
 ) -> MediationReport:
     """Test whether the causes act on `y` through the mediator `r`."""
-    if a.has_missing:
-        raise ValidationError("causes must be complete; impute first")
     rv = np.asarray(r.values, dtype=float)
     yv = np.asarray(y.values, dtype=float)
-    n = a.n_units
-    if rv.shape[0] != n or yv.shape[0] != n or z.values.shape[0] != n:
-        raise ValidationError("inputs disagree on the number of units")
+    design, base_names, _ = outcome_design(a, z, x, rv, yv)
     if np.array_equal(rv, yv):
         raise ValidationError("mediator and outcome are the identical vector")
-
-    zv, kept = _surrogate_design(z)
-    base = [np.ones((n, 1)), a.values, zv]
-    base_names = ["Intercept"] + list(a.column_names) + [f"z{j + 1}" for j in kept]
-    if x is not None:
-        if x.values.shape[0] != n:
-            raise ValidationError("covariate rows disagree with the causes")
-        base.append(x.values)
-        base_names += list(x.column_names)
-    design = np.column_stack(base)
 
     step1 = ols_fit(design, yv, base_names)
     step2 = ols_fit(design, rv, base_names)
     step3 = ols_fit(
-        np.column_stack([np.ones((n, 1)), rv]), yv, ["Intercept", MEDIATOR_NAME]
+        np.column_stack([np.ones((a.n_units, 1)), rv]), yv, ["Intercept", MEDIATOR_NAME]
     )
     step4 = ols_fit(
         np.column_stack([design, rv]), yv, base_names + [MEDIATOR_NAME]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import CauseMatrix, OutcomeVector
 from .errors import ValidationError
-from .effects import _surrogate_design, ols_fit
+from .effects import ols_fit, outcome_design
 from .ppca import SurrogateConfounders
 
 
@@ -79,36 +79,17 @@ def sweep(
     alpha: float = 0.05,
 ) -> SweepTable:
     """Fit [intercept | first t causes | surrogates?] for t = 1..D."""
-    if a.has_missing:
-        raise ValidationError("causes must be complete; impute first")
     yv = np.asarray(y.values, dtype=float)
-    if yv.shape[0] != a.n_units:
-        raise ValidationError("outcome length disagrees with the causes")
     if order is None:
         order = list(a.column_names)
     if sorted(order) != sorted(a.column_names):
         raise ValidationError("order must be a permutation of the cause columns")
-    col = {name: a.column_names.index(name) for name in order}
 
-    z_block = None
-    z_names: list[str] = []
-    if z is not None:
-        if z.values.shape[0] != a.n_units:
-            raise ValidationError("surrogates disagree on the number of units")
-        zv, kept = _surrogate_design(z)
-        z_block = zv
-        z_names = [f"z{j + 1}" for j in kept]
-
-    n = a.n_units
     cells: list[dict[str, SweepCell]] = []
     for t in range(1, len(order) + 1):
         included = order[:t]
-        blocks = [np.ones((n, 1)), a.values[:, [col[c] for c in included]]]
-        names = ["Intercept"] + included
-        if z_block is not None and z_block.size:
-            blocks.append(z_block)
-            names += z_names
-        report = ols_fit(np.column_stack(blocks), yv, names)
+        design, names, _ = outcome_design(a, z, None, yv, causes=included)
+        report = ols_fit(design, yv, names)
         cells.append(
             {
                 c: SweepCell(

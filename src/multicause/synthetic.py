@@ -45,7 +45,6 @@ class SyntheticConfig:
     noise_sd_outcome: float = 0.5
     mediator_theta: np.ndarray | None = None
     mediator_lambda: float | None = None
-    mediator_confounding_share: float = 0.0
     noise_sd_mediator: float = 0.5
     missing_rate: float = 0.0
     seed: int = 0
@@ -139,16 +138,7 @@ def generate(
     rating = None
     r_values = None
     if cfg.mediator_theta is not None:
-        confounding = (
-            cfg.mediator_confounding_share * z.sum(axis=1) / np.sqrt(k)
-            if cfg.mediator_confounding_share != 0.0
-            else 0.0
-        )
-        r_values = (
-            a @ cfg.mediator_theta
-            + confounding
-            + cfg.noise_sd_mediator * rng.standard_normal(n)
-        )
+        r_values = a @ cfg.mediator_theta + cfg.noise_sd_mediator * rng.standard_normal(n)
         rating = OutcomeVector(r_values, kind="rating")
 
     y = a @ cfg.true_beta + z @ cfg.outcome_gamma
@@ -300,7 +290,6 @@ def config_mediation(
         noise_sd_outcome=0.4,
         mediator_theta=theta,
         mediator_lambda=0.8,
-        mediator_confounding_share=0.0,
         noise_sd_mediator=0.3,
         seed=seed,
     )

@@ -83,7 +83,7 @@ def render_mediation_table(report: MediationReport, alpha: float = 0.05) -> str:
     ]
     lines = []
     if not selected:
-        lines.append("no cause has a significant total effect at the 5% level")
+        lines.append(f"no cause has a significant total effect at the {100 * alpha:g}% level")
     else:
         widths = [max(len(name), 7) + 2 for _, name in selected]
         header = f"{'':<8}" + "".join(

@@ -44,6 +44,8 @@ from multicause.synthetic import (
 from multicause.tables import FOOTNOTE, render_regression_table
 from multicause.effects import RegressionReport, RegressionRow
 
+pytestmark = pytest.mark.acceptance
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TIGHT = PpcaConfig(max_iter=5000, tol=1e-15, seed=0)
 
@@ -339,7 +341,7 @@ def test_criterion_7_mice_quality(capsys):
     for seed in range(100):
         cfg = config_confounded(n_units=2000, seed=seed, missing_rate=0.10)
         m, _, _, truth = generate(cfg)
-        filled = impute_mice(m, MiceConfig(seed=seed)).matrix.values
+        filled = impute_mice(m, MiceConfig()).matrix.values
         miss_m = m.missing
         ref = truth.causes_complete[miss_m]
         rmse = float(np.sqrt(np.mean((filled[miss_m] - ref) ** 2)))

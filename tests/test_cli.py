@@ -249,6 +249,31 @@ def test_malformed_csv_fails_with_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+
+def test_non_finite_outcome_is_rejected_at_load(tmp_path, capsys):
+    # an inf outcome once ran through and wrote NaN tokens into report.json
+    rng = np.random.default_rng(0)
+    lines = ["id,c1,c2,c3,y"]
+    for i in range(50):
+        c = rng.standard_normal(3) + 2.0
+        lines.append(f"u{i},{c[0]},{c[1]},{c[2]},{'inf' if i == 7 else c.sum()}")
+    data = tmp_path / "inf.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run("effects", "--input", data, "--outcome", "y", "--seed", 0, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [dataset] line 9: 'inf' in column 'y' is not a finite number")
+    assert not (out / "report.json").exists()
+
+
+def test_impute_takes_no_seed(sparse_data, tmp_path, capsys):
+    # MICE is deterministic, so impute has no seed to set
+    with pytest.raises(SystemExit) as exc:
+        run("impute", "--input", sparse_data / "data.csv", "--seed", 0, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 def test_unknown_column_is_rejected(flip_data, tmp_path, capsys):
     code = run(
         "effects",

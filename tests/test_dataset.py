@@ -43,6 +43,22 @@ def test_load_reports_offending_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", " -Infinity "])
+@pytest.mark.parametrize("column", ["a", "y", "w"])
+def test_load_rejects_non_finite_cells(tmp_path, token, column):
+    # only "" and "NA" mean missing; a non-finite number is a malformed cell
+    # in every column, cause, outcome or covariate alike
+    schema = {**SCHEMA, "w": "covariate"}
+    row = {"id": "u2", "a": "1.0", "b": "2.0", "y": "3.0", "w": "0.5"}
+    row[column] = token
+    text = "id,a,b,y,w\nu1,1.0,2.0,3.0,0.5\n" + ",".join(row.values()) + "\n"
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, text), schema)
+    assert err.value.line == 3
+    assert "line 3" in str(err.value) and f"'{column}'" in str(err.value)
+    assert "is not a finite number" in str(err.value)
+
 def test_load_rejects_missing_outcome(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1.0,2.0,\nu2,1.0,2.0,3.0\n")
     with pytest.raises(ValidationError) as err:

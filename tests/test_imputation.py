@@ -63,7 +63,7 @@ def test_beats_mean_imputation_on_mar_data():
     for seed in range(30):
         cfg = config_confounded(n_units=1000, seed=seed, missing_rate=0.1)
         m, _, _, truth = generate(cfg)
-        res = impute_mice(m, MiceConfig(seed=seed))
+        res = impute_mice(m, MiceConfig())
         miss = m.missing
         target = truth.causes_complete[miss]
         rmse = np.sqrt(np.mean((res.matrix.values[miss] - target) ** 2))
@@ -114,16 +114,7 @@ def test_validation_errors():
 def test_deterministic_given_config():
     cfg = config_confounded(n_units=500, seed=7, missing_rate=0.15)
     m, _, _, _ = generate(cfg)
-    a = impute_mice(m, MiceConfig(seed=0)).matrix.values
-    b = impute_mice(m, MiceConfig(seed=0)).matrix.values
+    a = impute_mice(m, MiceConfig()).matrix.values
+    b = impute_mice(m, MiceConfig()).matrix.values
     assert np.array_equal(a, b)
 
-
-def test_sweep_order_does_not_move_the_fixed_point():
-    cfg = config_confounded(n_units=500, seed=7, missing_rate=0.15)
-    m, _, _, _ = generate(cfg)
-    tight = dict(iterations=300, convergence_tol=1e-10)
-    a = impute_mice(m, MiceConfig(seed=0, **tight))
-    c = impute_mice(m, MiceConfig(seed=1, randomize_order=True, **tight))
-    assert a.converged and c.converged
-    assert np.allclose(a.matrix.values, c.matrix.values, atol=1e-8)

@@ -182,6 +182,16 @@ def test_mediation_table_with_no_significant_totals():
     assert "no cause has a significant total effect" in rendered
 
 
+
+def test_mediation_table_names_the_alpha_it_selected_with():
+    # p = 0.03 passes the default 5% level but not alpha = 0.01
+    rep = mediation_fixture()
+    for r in rep.step1.rows[1:]:
+        r.p_value = 0.03
+    assert "at the 5% level" not in render_mediation_table(rep)
+    rendered = render_mediation_table(rep, alpha=0.01)
+    assert "no cause has a significant total effect at the 1% level\n" in rendered
+
 def test_comparison_table_golden():
     rendered = render_comparison_table(
         {
