@@ -95,7 +95,8 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
     """Write manifest.json from the parsed flags, then the reports.
 
     report.json (unless `report` is None) and report.txt (given `text`: a
-    title, then paragraphs; also printed) carry the manifest hash.
+    title, then paragraphs; also printed) carry the manifest hash. An
+    unconverged EM fit recorded in report["em"] stamps report.txt.
     """
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     body = {
@@ -109,6 +110,9 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
         _write_json(out, "report.json", {"manifest_hash": body["hash"], **report})
     if text:
         title, *paragraphs = text
+        warning = _em_warning(report["em"]) if report and "em" in report else None
+        if warning:
+            paragraphs.insert(0, warning)
         blocks = [f"{title}\nmanifest {body['hash']}"] + [p.rstrip("\n") for p in paragraphs]
         doc = "\n\n".join(blocks) + "\n"
         _write_text(out, "report.txt", doc)
@@ -184,7 +188,27 @@ def _surrogates(args, m: CauseMatrix):
         args.k = min(DEFAULT_K[args.outcome_kind], m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
     model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
+    warning = _em_warning(_em_health(model))
+    if warning:
+        print(warning, file=sys.stderr)
     return mask, model, posterior_mean_partial(model, m, mask)
+
+
+def _em_health(model: PpcaModel) -> dict:
+    return {
+        "iterations": model.iterations,
+        "converged": model.converged,
+        "log_likelihood": model.log_likelihood,
+    }
+
+
+def _em_warning(em: dict) -> str | None:
+    if em["converged"]:
+        return None
+    return (
+        f"WARNING: EM stopped at its cap of {em['iterations']} E-steps before converging;"
+        " the surrogates come from an unconverged factor model"
+    )
 
 
 def _check(args, model: PpcaModel, m: CauseMatrix, mask: HoldoutMask):
@@ -283,13 +307,7 @@ def cmd_fit_ppca(args, out: str) -> int:
     m, _, _, prep = _prepare(args)
     mask, model, _ = _surrogates(args, m)
     _save_fit(args, out, m, mask, model)
-    report = {
-        "log_likelihood": model.log_likelihood,
-        "converged": model.converged,
-        "iterations": len(model.fit_trace),
-        "noise_variance": model.noise_variance,
-        **prep,
-    }
+    report = {**_em_health(model), "noise_variance": model.noise_variance, **prep}
     _finish(args, out, report)
     print(
         f"fitted K={args.k} on {m.n_units}x{m.n_causes} (holdout {args.holdout_rate:g});"
@@ -333,6 +351,7 @@ def cmd_effects(args, out: str) -> int:
         "predictive_check": result.to_dict(),
         "causal": causal.to_dict(),
         "noncausal": noncausal.to_dict(),
+        "em": _em_health(model),
         **prep,
     }
     shown = ["Intercept"] + list(m.column_names)
@@ -362,12 +381,12 @@ def cmd_mediate(args, out: str) -> int:
     r = OutcomeVector(x.values[:, j])
     rest = [i for i in range(len(x.column_names)) if i != j]
     x = CovariateMatrix(x.values[:, rest], [x.column_names[i] for i in rest]) if rest else None
-    _, _, z = _surrogates(args, m)
+    _, model, z = _surrogates(args, m)
     report = mediate(m, z, r, y, x, alpha=args.alpha)
     _finish(
         args,
         out,
-        {**report.to_dict(), **prep},
+        {**report.to_dict(), "em": _em_health(model), **prep},
         f"mediation of '{args.outcome}' through '{args.mediator}'",
         render_mediation_table(report, alpha=args.alpha),
     )
@@ -382,7 +401,10 @@ def cmd_robustness(args, out: str) -> int:
     paragraphs = []
     for label in ("noncausal", "causal"):
         if args.mode in (label, "both"):
-            z = _surrogates(args, m)[2] if label == "causal" else None
+            z = None
+            if label == "causal":
+                _, model, z = _surrogates(args, m)
+                report["em"] = _em_health(model)
             table = sweep(m, y, z=z, order=order, alpha=args.alpha)
             report[label] = table.to_dict()
             paragraphs += [f"{label} sweep", render_sweep_table(table)]
@@ -392,12 +414,12 @@ def cmd_robustness(args, out: str) -> int:
 
 def cmd_compare_predictive(args, out: str) -> int:
     m, y, x, prep = _prepare(args)
-    _, _, z = _surrogates(args, m)
+    _, model, z = _surrogates(args, m)
     comparison = predictive_comparison(m, z, y, x, split=args.split, seed=args.seed)
     _finish(
         args,
         out,
-        {"comparison": comparison, **prep},
+        {"comparison": comparison, "em": _em_health(model), **prep},
         f"held-out prediction of '{args.outcome}' (test fraction {args.split:g})",
         render_comparison_table(comparison),
     )

@@ -184,8 +184,9 @@ def outcome_design(
 
     The causes come in column order, or as the named `causes` in the order
     given. Constant surrogate columns carry nothing and are dropped; the
-    rest keep their index in the name z{j+1}. The surrogates, covariates
-    and each of `outcomes` must have one row per unit.
+    rest keep their index in the name z{j+1}, which no cause or covariate
+    may take. The surrogates, covariates and each of `outcomes` must have
+    one row per unit.
     """
     if a.has_missing:
         raise ValidationError("causes must be complete; impute first")
@@ -200,6 +201,13 @@ def outcome_design(
     kept: list[int] = []
     if z is not None:
         zv = np.asarray(z.values, dtype=float)
+        others = [*names[1:], *(x.column_names if x is not None else [])]
+        clash = sorted(set(others) & {f"z{j + 1}" for j in range(zv.shape[1])})
+        if clash:
+            raise ValidationError(
+                f"cause or covariate name(s) {clash} clash with the surrogate columns"
+                " z1, z2, ...; rename them"
+            )
         kept = [j for j in range(zv.shape[1]) if np.ptp(zv[:, j]) > 0.0]
         blocks.append(zv[:, kept])
         names += [f"z{j + 1}" for j in kept]

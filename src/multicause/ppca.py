@@ -1,12 +1,24 @@
 """Probabilistic PCA over the causes, and the held-out predictive check.
 
 The generative model per unit: z ~ N(0, I_K), a | z ~ N(mu + W z, s2 I_D),
-so marginally a ~ N(mu, W W' + s2 I). Fitting is plain EM with a seeded
-Gaussian start, one iteration for complete and masked data alike: each
-row is conditioned on its observed coordinates only (all of them when no
-mask is given), so a model can be fitted without ever seeing the held-out
-cells. With complete data its maximum is cross-checkable against the
+so marginally a ~ N(mu, W W' + s2 I). Fitting is EM with a seeded
+Gaussian start, one loop for complete and masked data alike: each row is
+conditioned on its observed coordinates only (all of them when no mask is
+given), so a model can be fitted without ever seeing the held-out cells.
+With complete data its maximum is cross-checkable against the
 closed-form eigendecomposition solution.
+
+The EM loop is accelerated by SQUAREM (Varadhan & Roland, Scand. J. Stat.
+2008), scheme SqS3, over theta = (W, log s2). A cycle takes two EM steps
+theta0 -> theta1 -> theta2 and extrapolates along them; the extrapolated
+point is kept only if its log-likelihood is at least theta1's, and
+otherwise theta2 is (theta1, if the EM step to theta2 lowered it). The fit
+stops when one plain EM step from the current point raises the
+log-likelihood by at most `tol` relative (or lowers it, which only
+rounding can do), the rule plain EM stops by. `max_iter` caps the E-steps
+evaluated after the start's, rejected extrapolations included, and
+`iterations` counts them; `fit_trace` holds the log-likelihoods of the
+accepted points only, so it is non-decreasing.
 
 Everything here rests on the posterior of z given a row's observed block,
 which depends on the row only through its observation pattern g:
@@ -45,8 +57,8 @@ _CHECK_CHUNK = 16
 
 @dataclass
 class PpcaConfig:
-    max_iter: int = 1000
-    tol: float = 1e-8  # relative log-likelihood change
+    max_iter: int = 1000  # E-steps after the start's, rejected extrapolations included
+    tol: float = 1e-8  # relative log-likelihood gain of one EM step
     seed: int = 0
 
     def __post_init__(self):
@@ -65,6 +77,7 @@ class PpcaModel:
     log_likelihood: float
     fit_trace: list[float] = field(default_factory=list)
     converged: bool = True
+    iterations: int = 0  # E-steps the fit evaluated after its start
 
     def __post_init__(self):
         self.loadings = np.array(self.loadings, dtype=float)
@@ -252,12 +265,14 @@ def fit_ppca(
     cfg: PpcaConfig | None = None,
     mask: HoldoutMask | None = None,
 ) -> PpcaModel:
-    """Fit the factor model by EM.
+    """Fit the factor model by SQUAREM-accelerated EM (see the module notes).
 
-    With `mask` given, the held cells are excluded from fitting (each row
-    contributes only its observed coordinates), which is what the
-    held-out predictive check requires of its model. The column means
-    are taken over the entries actually used.
+    The model returned is the last accepted point, and its
+    `log_likelihood` is that of exactly its (W, s2). With `mask` given,
+    the held cells are excluded from fitting (each row contributes only
+    its observed coordinates), which is what the held-out predictive
+    check requires of its model. The column means are taken over the
+    entries actually used.
     """
     cfg = cfg or PpcaConfig()
     _require_complete(m, "fit_ppca")
@@ -306,40 +321,84 @@ def fit_ppca(
         second += (s2 * counts)[:, None, None] * minv
         a_stats = (pats.T @ second.reshape(-1, k * k)).reshape(d, k, k)
         quad = sum_x2 - np.einsum("gkl,glk->", minv, c)
+        if quad < 0:  # a sum of squares, lost to rounding when s2 is tiny
+            raise NumericError("noise variance too small to evaluate the log-likelihood")
         ll = -0.5 * (
             counts @ (h * _LN_2PI + (h - k) * math.log(s2) + logdet) + quad / s2
         )
         return a_stats, xs.T @ means, float(ll)
 
-    w, s2 = _init_params(x, observed, k, cfg.seed)
-    a_stats, b_stats, ll = estep(w, s2)
-    trace = [ll]
-    converged = False
-    for _ in range(cfg.max_iter):
-        w = np.linalg.solve(a_stats, b_stats[:, :, None])[:, :, 0]
-        s2 = float(
+    def em_point(w: np.ndarray, s2: float):
+        # (W, s2), its log-likelihood, and the M-step image of its E-step
+        a_stats, b_stats, ll = estep(w, s2)
+        w_next = np.linalg.solve(a_stats, b_stats[:, :, None])[:, :, 0]
+        s2_next = float(
             (
                 sum_x2
-                - 2.0 * np.sum(b_stats * w)
-                + np.einsum("jk,jkl,jl->", w, a_stats, w)
+                - 2.0 * np.sum(b_stats * w_next)
+                + np.einsum("jk,jkl,jl->", w_next, a_stats, w_next)
             )
             / n_obs
         )
-        if s2 <= 0:
+        if not s2_next > 0:
             raise NumericError("noise variance collapsed during EM")
-        a_stats, b_stats, ll = estep(w, s2)
-        trace.append(ll)
-        if abs(ll - trace[-2]) <= cfg.tol * max(1.0, abs(trace[-2])):
-            converged = True
+        return w, s2, ll, w_next, s2_next
+
+    def theta(w: np.ndarray, s2: float) -> np.ndarray:
+        return np.append(w, math.log(s2))
+
+    cur = em_point(*_init_params(x, observed, k, cfg.seed))
+    trace = [cur[2]]
+    evals = 0
+    converged = False
+    while evals < cfg.max_iter:
+        w0, nv0, ll0, w1, nv1 = cur
+        step = em_point(w1, nv1)  # theta1, carrying theta2 as its M-step image
+        evals += 1
+        _, _, ll1, w2, nv2 = step
+        # a drop is rounding: exact EM never lowers the log-likelihood
+        converged = ll1 - ll0 <= cfg.tol * max(1.0, abs(ll0))
+        if converged or evals == cfg.max_iter:
+            if ll1 >= ll0:
+                cur = step
+                trace.append(ll1)
             break
+        # SqS3 extrapolation along the two EM steps
+        t0, t1 = theta(w0, nv0), theta(w1, nv1)
+        r = t1 - t0
+        v = theta(w2, nv2) - t1 - r
+        v_norm = float(np.linalg.norm(v))
+        alpha = min(-float(np.linalg.norm(r)) / v_norm, -1.0) if v_norm > 0 else -1.0
+        t = t0 - 2.0 * alpha * r + alpha * alpha * v
+        evals += 1
+        try:  # a point thrown far off the data's scale overflows: reject it
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                new = em_point(t[:-1].reshape(d, k), math.exp(t[-1]))
+        except (NumericError, ArithmeticError):
+            new = None
+        if new is None or not new[2] >= ll1:
+            # fall back to theta2, or to theta1 when no E-step is left
+            if evals == cfg.max_iter:
+                new = step
+            else:
+                new = em_point(w2, nv2)
+                evals += 1
+                if new[2] < ll1:  # as above: the steps are inside the rounding
+                    new, converged = step, True
+        cur = new
+        trace.append(cur[2])
+        if converged:
+            break
+    w, s2, ll = cur[:3]
     return PpcaModel(
         loadings=w,
         mean=mu,
         noise_variance=s2,
         k=k,
-        log_likelihood=trace[-1],
+        log_likelihood=ll,
         fit_trace=trace,
         converged=converged,
+        iterations=evals,
     )
 
 

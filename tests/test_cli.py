@@ -6,15 +6,19 @@ same flags must be byte-identical, which several tests pin down.
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 
 import numpy as np
 import pytest
 
+from multicause import cli
 from multicause.cli import COMMANDS, OUTPUT_DIR_ENV, build_parser, main
+from multicause.ppca import PpcaConfig
 from multicause.tables import canonical_json
 
 
@@ -288,6 +292,18 @@ def test_unknown_column_is_rejected(flip_data, tmp_path, capsys):
     )
     assert code == 1
     assert "not present" in capsys.readouterr().err
+
+
+def test_cause_named_like_a_surrogate_is_rejected(flip_data, tmp_path, capsys):
+    lines = (flip_data / "data.csv").read_text().splitlines(keepends=True)
+    header = lines[0].split(",")
+    header[1] = "z1"  # the first cause column
+    data = tmp_path / "data.csv"
+    data.write_text(",".join(header) + "".join(lines[1:]))
+    argv = ["effects", "--input", data, "--outcome", "popularity", "--corr-threshold", 0.95]
+    assert run(*argv, "--seed", 0, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [effects] cause or covariate name(s) ['z1'] clash")
 
 
 def test_check_refuses_model_from_other_columns(flip_data, sparse_data, tmp_path, capsys):
@@ -743,3 +759,36 @@ def test_help_for_every_command(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: multicause {command}" in capsys.readouterr().out
+
+
+FITTING = ["fit-ppca", "effects", "mediate", "robustness", "compare-predictive"]
+
+
+@pytest.mark.parametrize("command", FITTING)
+def test_every_fit_reports_em_health(command, flip_data, mediation_data, fit_dir, tmp_path):
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
+    assert run(*argv, "--out", tmp_path) == 0
+    report = read_json(tmp_path, "report.json")
+    em = report if command == "fit-ppca" else report["em"]
+    assert em["converged"] is True
+    assert 1 <= em["iterations"] < PpcaConfig().max_iter
+    assert math.isfinite(em["log_likelihood"])
+    if command != "fit-ppca":
+        assert "WARNING" not in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("command", FITTING)
+def test_unconverged_em_warns_and_stamps_the_report(
+    command, flip_data, mediation_data, fit_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "PpcaConfig", functools.partial(PpcaConfig, max_iter=1))
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
+    if command == "effects":
+        argv.append("--force")  # a one-step fit may fail the check
+    assert run(*argv, "--out", tmp_path) == 0
+    assert "WARNING: EM stopped at its cap of 1 E-steps" in capsys.readouterr().err
+    report = read_json(tmp_path, "report.json")
+    em = report if command == "fit-ppca" else report["em"]
+    assert em["converged"] is False and em["iterations"] == 1
+    if command != "fit-ppca":  # fit-ppca writes no report.txt
+        assert "WARNING: EM stopped" in (tmp_path / "report.txt").read_text()

@@ -197,6 +197,23 @@ def test_covariates_are_appended_and_estimated():
     assert est.beta == pytest.approx([0.5, -0.5], abs=1e-8)
 
 
+def test_surrogate_names_may_not_clash_with_causes_or_covariates():
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((50, 2))
+    y = OutcomeVector(vals @ [1.0, -1.0] + rng.standard_normal(50))
+    z = surrogates(rng.standard_normal((50, 2)))
+    a = CauseMatrix(vals, ["z1", "b"], [f"u{i}" for i in range(50)])
+    with pytest.raises(ValidationError, match=r"\['z1'\]"):
+        estimate_effects_causal(a, z, y)
+    cov = CovariateMatrix(rng.standard_normal((50, 1)), ["z2"])
+    with pytest.raises(ValidationError, match=r"\['z2'\]"):
+        estimate_effects_causal(matrix_from(vals), z, y, x=cov)
+    # without surrogates the names are free, and z3 lies beyond K = 2
+    assert estimate_effects_noncausal(a, y).report.row("z1").mean == pytest.approx(1.0, abs=0.5)
+    cov = CovariateMatrix(rng.standard_normal((50, 1)), ["z3"])
+    assert estimate_effects_causal(matrix_from(vals), z, y, x=cov).report.row("z3")
+
+
 def test_missing_causes_are_rejected():
     vals = np.array([[1.0, np.nan], [0.5, 1.0], [0.2, 0.3]])
     m = CauseMatrix(vals, ["a", "b"], ["u0", "u1", "u2"], np.isnan(vals))

@@ -1,7 +1,8 @@
 """Factor model fitting and the held-out predictive check.
 
 The EM maximum for complete data has a closed form from the sample
-spectrum, which gives an exact oracle for the fit; posterior formulas
+spectrum, which gives an exact oracle for the fit; the SQUAREM loop is
+held to a plain EM reference loop kept here; posterior formulas
 are checked against hand-derived special cases and scipy linear algebra,
 and the fitted likelihood against scipy's multivariate normal, row by row.
 """
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
 from multicause.errors import NumericError, ValidationError
+import multicause.ppca as ppca
 from multicause.ppca import (
     _CHECK_CHUNK,
     DEFAULT_K,
@@ -25,6 +27,7 @@ from multicause.ppca import (
     PpcaModel,
     closed_form_max_loglik,
     fit_ppca,
+    _init_params,
     _patterns,
     posterior_mean_partial,
     predictive_check,
@@ -513,3 +516,151 @@ def test_check_streams_are_pinned():
     res = predictive_check(model, m, HoldoutMask(held), replications=20, mc_samples=20, seed=3)
     digest = hashlib.sha256(res.per_unit_scores.tobytes()).hexdigest()
     assert digest == "40f90409022893bf95efebb1f442e6c0ee2080c6c3fcfde7628c8ad27b10aebf"
+
+
+def plain_em(m, k, cfg, mask=None):
+    """Unaccelerated EM, row by row, from fit_ppca's start: the trace of every iterate.
+
+    It stops by the rule fit_ppca uses: one EM step raises the
+    log-likelihood by at most cfg.tol relative.
+    """
+    x = m.values
+    observed = observed_of(m, mask)
+    obs = observed.astype(float)
+    h = obs.sum(axis=1)
+    mu = np.array([x[observed[:, j], j].mean() for j in range(x.shape[1])])
+    xc = np.where(observed, x - mu, 0.0)
+    sum_x2 = (xc * xc).sum()
+
+    def estep(w, s2):
+        m_rows = np.einsum("nd,dk,dl->nkl", obs, w, w) + s2 * np.eye(k)
+        b = xc @ w
+        z = np.linalg.solve(m_rows, b[:, :, None])[:, :, 0]
+        quad = (xc * xc).sum(axis=1) - (b * z).sum(axis=1)
+        logdet = np.linalg.slogdet(m_rows)[1]
+        ll = -0.5 * np.sum(h * math.log(2 * math.pi) + (h - k) * math.log(s2) + logdet + quad / s2)
+        ezz = s2 * np.linalg.inv(m_rows) + z[:, :, None] * z[:, None, :]
+        return np.einsum("nd,nkl->dkl", obs, ezz), xc.T @ z, float(ll)
+
+    w, s2 = _init_params(x, observed, k, cfg.seed)
+    a, b, ll = estep(w, s2)
+    trace = [ll]
+    for _ in range(cfg.max_iter):
+        w = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        s2 = float((sum_x2 - 2 * np.sum(b * w) + np.einsum("jk,jkl,jl->", w, a, w)) / h.sum())
+        a, b, ll = estep(w, s2)
+        trace.append(ll)
+        if ll - trace[-2] <= cfg.tol * max(1.0, abs(trace[-2])):
+            break
+    return trace
+
+
+@st.composite
+def em_problems(draw):
+    """Factor data whose likelihood has a maximum.
+
+    K <= D - 2, and more than K rows are fully observed: with K or fewer,
+    W can span them all and the noise variance shrink towards 0.
+    """
+    d = draw(st.integers(4, 8))
+    k = draw(st.integers(1, d - 2))
+    n = draw(st.integers(60, 200))
+    rate = draw(st.sampled_from([0.0, 0.15, 0.3]))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    m, _ = sample_ppca(n, rng.standard_normal((d, k)), 0.2 + rng.random(), seed)
+    held = rng.random((n, d)) < rate
+    held[: d + k] = False
+    held[held.all(axis=1), 0] = False
+    return m, k, HoldoutMask(held) if rate else None, seed
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(em_problems(), st.sampled_from([1e-8, 1e-10]))
+def test_squarem_trace_is_monotone_and_no_worse_than_plain_em(problem, tol):
+    m, k, mask, seed = problem
+    cfg = PpcaConfig(max_iter=5000, tol=tol, seed=seed)
+    model = fit_ppca(m, k, cfg, mask=mask)
+    reference = plain_em(m, k, cfg, mask)
+    assert model.converged
+    assert np.all(np.diff(model.fit_trace) >= 0.0)
+    assert model.log_likelihood == model.fit_trace[-1]
+    # Both loops stop once an EM step gains at most tol, short of the
+    # maximum by a problem-dependent margin; SQUAREM's margin is never the
+    # wider by as much as tol (it is the narrower on most problems).
+    assert model.log_likelihood >= reference[-1] - tol * max(1.0, abs(reference[-1]))
+
+
+@pytest.mark.parametrize("seed", [29, 44, 59])
+def test_unbounded_likelihood_never_yields_a_bogus_maximum(seed):
+    # K = 6 of 7 columns with a third of the cells held: the fit drifts
+    # towards s2 -> 0, and on these seeds SQUAREM extrapolates to s2 near
+    # 1e-15, where the E-step's quadratic term would round below zero and
+    # report a log-likelihood as high as 1e16 for parameters whose true
+    # one is far below zero. The E-step refuses such a point, so the
+    # model returned carries its own log-likelihood.
+    rng = np.random.default_rng(seed)
+    m, _ = sample_ppca(61, rng.standard_normal((7, 6)), 0.5, seed)
+    held = rng.random((61, 7)) < 0.35
+    held[-2:] = False
+    held[held.all(axis=1), 0] = False
+    model = fit_ppca(m, 6, PpcaConfig(seed=seed), mask=HoldoutMask(held))
+    w, mu, s2 = model.loadings, model.mean, model.noise_variance
+    expected = 0.0
+    for i, obs in enumerate(~held):
+        cov = w[obs] @ w[obs].T + s2 * np.eye(int(obs.sum()))
+        expected += scipy.stats.multivariate_normal(mu[obs], cov).logpdf(m.values[i, obs])
+    assert model.log_likelihood == pytest.approx(expected, rel=1e-6)
+    assert np.all(np.diff(model.fit_trace) >= 0.0)
+
+
+def test_squarem_needs_far_fewer_e_steps_than_plain_em():
+    rng = np.random.default_rng(7)
+    m, _ = sample_ppca(400, rng.standard_normal((30, 5)), 1.0, seed=7)
+    mask = make_holdout(m, rate=0.2, seed=0)
+    model = fit_ppca(m, 5, PpcaConfig(seed=0), mask=mask)
+    reference = plain_em(m, 5, PpcaConfig(seed=0), mask)
+    assert model.iterations * 2 < len(reference) - 1
+    assert model.log_likelihood > reference[-1]
+
+
+def test_failed_extrapolations_fall_back_to_the_em_double_step(monkeypatch):
+    # Every cycle evaluates theta1, then the extrapolated point: with each
+    # of those failing, the calls go start, theta1, x, theta2, theta1, x, ...
+    # and SQUAREM keeps every second plain EM iterate.
+    calls = []
+    precisions = ppca._precisions
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            raise NumericError("posterior precision lost positive definiteness")
+        return precisions(*args)
+
+    m, _ = sample_ppca(300, W_TRUE, 0.5, seed=8)
+    mask = make_holdout(m, rate=0.2, seed=1)
+    cfg = PpcaConfig(seed=2)
+    monkeypatch.setattr(ppca, "_precisions", failing)
+    model = fit_ppca(m, 2, cfg, mask=mask)
+    monkeypatch.undo()
+    reference = plain_em(m, 2, cfg, mask)
+    trace = model.fit_trace
+    assert model.converged and len(calls) == model.iterations + 1
+    np.testing.assert_allclose(trace[:-1], reference[: 2 * len(trace) - 2 : 2], rtol=1e-10)
+    assert np.all(np.diff(trace) >= 0.0)
+    assert model.log_likelihood >= reference[-1] - cfg.tol * abs(reference[-1])
+
+
+def test_budget_of_one_e_step_is_reported_unconverged():
+    m, _ = sample_ppca(200, W_TRUE, 0.5, seed=9)
+    model = fit_ppca(m, 2, PpcaConfig(max_iter=1, seed=0))
+    assert not model.converged
+    assert model.iterations == 1
+    assert len(model.fit_trace) == 2 and model.fit_trace[1] > model.fit_trace[0]
+
+
+def test_e_step_budget_counts_rejected_extrapolations():
+    m, _ = sample_ppca(400, W_TRUE, 0.5, seed=10)
+    for budget in range(1, 12):
+        model = fit_ppca(m, 2, PpcaConfig(max_iter=budget, tol=0.0, seed=0))
+        assert model.iterations == budget and not model.converged

@@ -45,6 +45,20 @@ def test_two_sided_p_matches_scipy():
         assert abs(ours - ref) < 1e-8
 
 
+# degrees of freedom 1 to 1e6, log-spaced, plus integers and the points
+# where ln B(a, 1/2) switches to its Stirling form (a = 10, dof = 20)
+LARGE_DOF = sorted({*np.logspace(0.0, 6.0, 49).tolist(), 3.0, 19.99, 20.0, 20.01, 5000.0, 1e6})
+
+
+@pytest.mark.parametrize("dof", LARGE_DOF)
+def test_p_and_quantile_hold_1e_13_up_to_a_million_dof(dof):
+    for t in (0.5, 1.0, 1.96, 3.0, 6.0):
+        ref = float(2.0 * stats.t.sf(t, dof))
+        assert t_two_sided_p(t, dof) == pytest.approx(ref, rel=1e-13, abs=0.0), t
+    ref = float(stats.t.ppf(0.975, dof))
+    assert t_quantile(0.975, dof) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_p_value_symmetry_and_extremes():
     assert t_two_sided_p(0.0, 10.0) == pytest.approx(1.0)
     assert t_two_sided_p(3.2, 7.0) == t_two_sided_p(-3.2, 7.0)
