@@ -95,8 +95,9 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
     """Write manifest.json from the parsed flags, then the reports.
 
     report.json (unless `report` is None) and report.txt (given `text`: a
-    title, then paragraphs; also printed) carry the manifest hash. An
-    unconverged EM fit recorded in report["em"] stamps report.txt.
+    title, then paragraphs; also printed) carry the manifest hash. Every
+    unconverged fit the report records (`_health_warnings`) stamps
+    report.txt.
     """
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     body = {
@@ -110,9 +111,7 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
         _write_json(out, "report.json", {"manifest_hash": body["hash"], **report})
     if text:
         title, *paragraphs = text
-        warning = _em_warning(report["em"]) if report and "em" in report else None
-        if warning:
-            paragraphs.insert(0, warning)
+        paragraphs[:0] = _health_warnings(report or {})
         blocks = [f"{title}\nmanifest {body['hash']}"] + [p.rstrip("\n") for p in paragraphs]
         doc = "\n\n".join(blocks) + "\n"
         _write_text(out, "report.txt", doc)
@@ -152,13 +151,15 @@ def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
     res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
-    return res.matrix, {
+    imputation = {
         "ran": True,
         "sweeps": res.sweeps,
         "converged": res.converged,
         "max_change": res.max_change,
         "mean_fallback_columns": res.mean_fallback_columns,
     }
+    _warn({"imputation": imputation})
+    return res.matrix, imputation
 
 
 def _prepare(args):
@@ -188,9 +189,7 @@ def _surrogates(args, m: CauseMatrix):
         args.k = min(DEFAULT_K[args.outcome_kind], m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
     model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
-    warning = _em_warning(_em_health(model))
-    if warning:
-        print(warning, file=sys.stderr)
+    _warn({"em": _em_health(model)})
     return mask, model, posterior_mean_partial(model, m, mask)
 
 
@@ -202,13 +201,28 @@ def _em_health(model: PpcaModel) -> dict:
     }
 
 
-def _em_warning(em: dict) -> str | None:
-    if em["converged"]:
-        return None
-    return (
-        f"WARNING: EM stopped at its cap of {em['iterations']} E-steps before converging;"
-        " the surrogates come from an unconverged factor model"
-    )
+def _health_warnings(report: dict) -> list[str]:
+    """One line per unconverged fit in a report: its "imputation", then its "em"."""
+    lines = []
+    mice = report.get("imputation")
+    if mice and mice["ran"] and not mice["converged"]:
+        lines.append(
+            f"WARNING: MICE stopped at its cap of {mice['sweeps']} sweeps before converging"
+            f" (its last sweep moved a cell by {mice['max_change']:.3g});"
+            " the imputed causes are unconverged"
+        )
+    em = report.get("em")
+    if em and not em["converged"]:
+        lines.append(
+            f"WARNING: EM stopped at its cap of {em['iterations']} E-steps before converging;"
+            " the surrogates come from an unconverged factor model"
+        )
+    return lines
+
+
+def _warn(report: dict) -> None:
+    for line in _health_warnings(report):
+        print(line, file=sys.stderr)
 
 
 def _check(args, model: PpcaModel, m: CauseMatrix, mask: HoldoutMask):
@@ -297,7 +311,14 @@ def cmd_impute(args, out: str) -> int:
     m, diagnostics = _impute(args, m)
     outcomes = {args.outcome: y} if args.outcome else {}
     write_csv(os.path.join(out, "imputed.csv"), m, outcomes=outcomes, covariates=x)
-    _finish(args, out, {"imputation": diagnostics})
+    summary = "no missing causes"
+    if diagnostics["ran"]:
+        summary = (
+            f"{diagnostics['sweeps']} sweeps;"
+            f" the last moved a cell by at most {diagnostics['max_change']:.3g}"
+        )
+    title = f"chained-equation imputation of {m.n_units} units x {m.n_causes} causes"
+    _finish(args, out, {"imputation": diagnostics}, title, summary)
     note = "imputed" if diagnostics["ran"] else "already complete"
     print(f"{note}; wrote {out}/imputed.csv")
     return 0
@@ -434,7 +455,19 @@ def _flag(*names: str, **kwargs):
     return names, kwargs
 
 
-_SEED = _flag("--seed", type=int, required=True)
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), the range every seeded stage takes.
+
+    The predictive check uses the seed as one 64-bit Philox key word, so the
+    bound is checked here, before any stage runs.
+    """
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
+_SEED = _flag("--seed", type=_seed, required=True)
 _OUT = _flag("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
 _SYNTH = [
     _flag("--scenario", choices=sorted(SCENARIOS), required=True),

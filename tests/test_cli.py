@@ -278,6 +278,26 @@ def test_impute_takes_no_seed(sparse_data, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+def seeded_effects_args(data_dir, out_dir, seed):
+    args = list(effects_args(data_dir, out_dir))
+    args[args.index("--seed") + 1] = seed
+    return args
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected_before_any_stage(seed, flip_data, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*seeded_effects_args(flip_data, tmp_path, seed))
+    assert exc.value.code == 2
+    assert f"argument --seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_seed_runs_end_to_end(flip_data, tmp_path):
+    assert run(*seeded_effects_args(flip_data, tmp_path, 2**64 - 1)) == 0
+    assert read_json(tmp_path, "holdout.json")["seed"] == 2**64 - 1
+
+
 def test_unknown_column_is_rejected(flip_data, tmp_path, capsys):
     code = run(
         "effects",
@@ -389,6 +409,21 @@ def test_impute_cli_round_trip(sparse_data, tmp_path):
     )
     assert code == 0
     assert read_json(out2, "report.json")["imputation"]["ran"] is False
+
+
+def test_unconverged_mice_warns_and_stamps_the_report(sparse_data, flip_data, tmp_path, capsys):
+    capped = tmp_path / "capped"
+    data = ["--outcome", "popularity", "--mice-iterations", 1]
+    assert run("impute", "--input", sparse_data / "data.csv", *data, "--out", capped) == 0
+    assert "WARNING: MICE stopped at its cap of 1 sweeps" in capsys.readouterr().err
+    assert read_json(capped, "report.json")["imputation"]["converged"] is False
+    assert "WARNING: MICE stopped" in (capped / "report.txt").read_text()
+
+    complete = tmp_path / "complete"
+    assert run("impute", "--input", flip_data / "data.csv", *data, "--out", complete) == 0
+    assert "WARNING" not in capsys.readouterr().err
+    assert read_json(complete, "report.json")["imputation"]["ran"] is False
+    assert "WARNING" not in (complete / "report.txt").read_text()
 
 
 def test_effects_on_sparse_data_records_imputation(sparse_data, tmp_path):

@@ -9,6 +9,7 @@ and the fitted likelihood against scipy's multivariate normal, row by row.
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
 from multicause.errors import NumericError, ValidationError
 import multicause.ppca as ppca
 from multicause.ppca import (
-    _CHECK_CHUNK,
     DEFAULT_K,
     PpcaConfig,
     PpcaModel,
@@ -250,6 +250,8 @@ def test_predictive_check_input_validation():
         predictive_check(model, m, mask, method="median")
     with pytest.raises(ValidationError):
         predictive_check(model, m, mask, seed=-1)
+    with pytest.raises(ValidationError):
+        predictive_check(model, m, mask, seed=2**64)
     bare = HoldoutMask(np.zeros((50, 6), dtype=bool))
     with pytest.raises(ValidationError) as err:
         predictive_check(model, m, bare)
@@ -419,8 +421,20 @@ def test_patterns_match_numpy_unique_across_byte_boundaries():
         assert all(np.array_equal(a, b) for a, b in zip(groups, ref_groups)), d
 
 
-def reference_check(model, m, mask, replications, mc_samples, seed):
-    """The predictive check as a unit-by-unit loop: (per-unit, mean, pooled)."""
+def unit_key(uid):
+    return int.from_bytes(hashlib.blake2b(uid.encode(), digest_size=8).digest(), "little")
+
+
+def reference_check(model, m, mask, replications, mc_samples, seed, held_space=True):
+    """The predictive check as a unit-by-unit loop: (per-unit, mean, pooled).
+
+    held_space=True is the sampler `predictive_check` runs: a Philox
+    stream keyed on (seed, blake2b-8 of the unit id), S held means from
+    min(h, K) normals each, then R replicates from h normals each.
+    held_space=False is the sampler it replaced, kept as a distributional
+    oracle: a default_rng([seed, row]) stream, S posterior z in K
+    dimensions, then R replicate z and R*h replicate noises.
+    """
     w, s2, k = model.loadings, model.noise_variance, model.k
     sigma = math.sqrt(s2)
     xc = m.values - model.mean
@@ -434,20 +448,39 @@ def reference_check(model, m, mask, replications, mc_samples, seed):
         mean = xc[i, ob] @ w[ob] @ minv.T
         wh, h = w[hd], int(hd.sum())
         const = -0.5 * h * math.log(2.0 * math.pi * s2)
-        rng = np.random.default_rng([seed, i])
-        nu = (mean + rng.standard_normal((mc_samples, k)) @ factor.T) @ wh.T
+        if held_space:
+            key = np.array([seed, unit_key(m.unit_ids[i])], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            g = wh @ factor  # W_H z = W_H m + G e
+            a = g.T if h >= k else np.linalg.qr(g.T, mode="r")  # A'A = GG'
+            b = np.linalg.cholesky(a.T @ a + s2 * np.eye(h)).T  # B'B = GG' + s2 I
+            nu = wh @ mean + rng.standard_normal((mc_samples, min(h, k))) @ a
+            a_rep = wh @ mean + rng.standard_normal((replications, h)) @ b
+        else:
+            rng = np.random.default_rng([seed, i])
+            nu = (mean + rng.standard_normal((mc_samples, k)) @ factor.T) @ wh.T
+            z_rep = mean + rng.standard_normal((replications, k)) @ factor.T
+            a_rep = z_rep @ wh.T + sigma * rng.standard_normal((replications, h))
         nu_bar, nu_sq = nu.mean(axis=0), (nu * nu).mean(axis=0)
 
         def t_stat(a):
             return const - (a * a - 2.0 * a * nu_bar + nu_sq).sum(axis=-1) / (2.0 * s2)
 
         t_real = t_stat(xc[i, hd])
-        z_rep = mean + rng.standard_normal((replications, k)) @ factor.T
-        t_rep = t_stat(z_rep @ wh.T + sigma * rng.standard_normal((replications, h)))
+        t_rep = t_stat(a_rep)
         per_unit[i] = np.mean(t_rep < t_real)
         pooled_real += t_real
         pooled_rep += t_rep
     return per_unit, per_unit.mean(), np.mean(pooled_rep < pooled_real)
+
+
+# Rows per check chunk of held count 1 that the chunking tests force, by
+# shrinking the check's draw budget to match.
+CHUNK_ROWS = 16
+
+
+def chunk_budget(replications, mc_samples):
+    return 8 * (mc_samples + replications) * CHUNK_ROWS
 
 
 @st.composite
@@ -455,14 +488,15 @@ def check_problems(draw):
     """A PPCA model, data drawn from it and a mask mixing held counts h.
 
     The first block of rows all hold out one column and outnumber a check
-    chunk, so that h-group is scored in several chunks; the rest hold out
-    random columns, so several h share those chunks across patterns.
+    chunk of `chunk_budget`, so that h-group is scored in several chunks;
+    the rest hold out random columns, so several h share those chunks
+    across patterns.
     """
     d = draw(st.integers(3, 9))
     k = draw(st.integers(1, d - 1))
     seed = draw(st.integers(0, 10_000))
-    ones = _CHECK_CHUNK + 1 + seed % _CHECK_CHUNK
-    n = draw(st.integers(ones + 2, ones + 3 * _CHECK_CHUNK))
+    ones = CHUNK_ROWS + 1 + seed % CHUNK_ROWS
+    n = draw(st.integers(ones + 2, ones + 3 * CHUNK_ROWS))
     rng = np.random.default_rng(seed)
     model = PpcaModel(
         loadings=rng.standard_normal((d, k)),
@@ -490,17 +524,72 @@ def test_chunked_check_equals_unit_by_unit_loop(problem, sizes):
     replications, mc_samples = sizes
     held_counts = mask.held.sum(axis=1)
     assert np.unique(held_counts).size > 1
-    assert np.bincount(held_counts).max() > _CHECK_CHUNK
+    assert np.bincount(held_counts)[1] > CHUNK_ROWS
     per_unit, mean_score, pooled_score = reference_check(
         model, m, mask, replications, mc_samples, seed
     )
-    for method, expected in (("mean", mean_score), ("pooled", pooled_score)):
-        res = predictive_check(
-            model, m, mask, replications=replications, mc_samples=mc_samples,
-            seed=seed, method=method,
-        )
-        assert np.array_equal(res.per_unit_scores, per_unit)
-        assert res.score == expected
+    budget = chunk_budget(replications, mc_samples)
+    with mock.patch.object(ppca, "_CHECK_CHUNK_BYTES", budget):
+        for method, expected in (("mean", mean_score), ("pooled", pooled_score)):
+            res = predictive_check(
+                model, m, mask, replications=replications, mc_samples=mc_samples,
+                seed=seed, method=method,
+            )
+            assert np.array_equal(res.per_unit_scores, per_unit)
+            assert res.score == expected
+
+
+def rows_of(m, mask, idx):
+    ids = [m.unit_ids[i] for i in idx]
+    return CauseMatrix(m.values[idx], m.column_names, ids), HoldoutMask(mask.held[idx])
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(check_problems(), st.data())
+def test_check_scores_follow_units_not_rows(problem, data):
+    model, m, mask, seed = problem
+    n = m.n_units
+    order = np.array(data.draw(st.permutations(range(n))))
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2))))
+
+    def scores(matrix, held):
+        return predictive_check(
+            model, matrix, held, replications=10, mc_samples=10, seed=seed
+        ).per_unit_scores
+
+    full = scores(m, mask)
+    budget = chunk_budget(10, 10)
+    with mock.patch.object(ppca, "_CHECK_CHUNK_BYTES", budget):
+        assert np.array_equal(scores(*rows_of(m, mask, order)), full[order])
+        assert np.array_equal(scores(*rows_of(m, mask, subset)), full[subset])
+
+
+def test_held_space_sampler_matches_the_old_one_in_distribution():
+    # Both samplers are exact in distribution, so over many seeds each
+    # unit's mean score must agree; 30 units at |z| < 4 fail together by
+    # chance with probability about 0.2%. W_TRUE has K = 2, and the mask
+    # holds h = 1, 2 and 3 or more, so both of _held_factors' branches run.
+    rng = np.random.default_rng(12)
+    m, _ = sample_ppca(30, W_TRUE, 0.3, seed=13)
+    held = rng.random((30, 6)) < 0.4
+    held[~held.any(axis=1), 0] = True
+    held[held.all(axis=1), 1] = False
+    assert {1, 2, 3} <= set(held.sum(axis=1).tolist())
+    mask = HoldoutMask(held)
+    model = PpcaModel(
+        loadings=W_TRUE, mean=np.zeros(6), noise_variance=0.3, k=2, log_likelihood=0.0
+    )
+    seeds = range(200)
+    new = np.array(
+        [predictive_check(model, m, mask, 20, 20, seed=s).per_unit_scores for s in seeds]
+    )
+    old = np.array(
+        [reference_check(model, m, mask, 20, 20, s, held_space=False)[0] for s in seeds]
+    )
+    se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / len(seeds))
+    assert se.min() > 0
+    z = (new.mean(axis=0) - old.mean(axis=0)) / se
+    assert np.abs(z).max() < 4.0, z
 
 
 def test_check_streams_are_pinned():
@@ -515,7 +604,7 @@ def test_check_streams_are_pinned():
     )
     res = predictive_check(model, m, HoldoutMask(held), replications=20, mc_samples=20, seed=3)
     digest = hashlib.sha256(res.per_unit_scores.tobytes()).hexdigest()
-    assert digest == "40f90409022893bf95efebb1f442e6c0ee2080c6c3fcfde7628c8ad27b10aebf"
+    assert digest == "e5cdaf9c93597ed371837c59475934cc404c07653b57b4491115ae97997415a2"
 
 
 def plain_em(m, k, cfg, mask=None):
