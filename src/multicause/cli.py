@@ -173,7 +173,7 @@ def _prepare(args):
         "overlap": {"passed": overlap.passed, "failing_rows": overlap.failing_rows},
         "imputation": imputation,
         "screen": {"kept": list(m.column_names), "dropped": dropped},
-        "standardization": {"mean": transform.mean.tolist(), "scale": transform.scale.tolist()},
+        "standardization": transform,
     }
     return m, y, x, prep
 
@@ -287,17 +287,17 @@ def cmd_synth(args, out: str) -> int:
     write_csv(os.path.join(out, "data.csv"), m, outcomes=outcomes)
     mediator = None
     if truth.mediator_theta is not None:
-        mediator = {"theta": truth.mediator_theta.tolist(), "lambda": truth.mediator_lambda}
+        mediator = {"theta": truth.mediator_theta, "lambda": truth.mediator_lambda}
     truth_doc = {
         "scenario": args.scenario,
         "seed": args.seed,
         "n_units": args.n,
-        "column_names": list(m.column_names),
-        "true_beta": [float(v) for v in truth.true_beta],
-        "outcome_gamma": [float(v) for v in truth.outcome_gamma],
-        "confounder_loadings": [[float(v) for v in row] for row in cfg.confounder_loadings],
+        "column_names": m.column_names,
+        "true_beta": truth.true_beta,
+        "outcome_gamma": truth.outcome_gamma,
+        "confounder_loadings": cfg.confounder_loadings,
         "overlap_shift": truth.overlap_shift,
-        "missing_cells": int(truth.missing_mask.sum()),
+        "missing_cells": truth.missing_mask.sum(),
         "mediator": mediator,
     }
     _write_json(out, "truth.json", truth_doc)
@@ -328,25 +328,30 @@ def cmd_fit_ppca(args, out: str) -> int:
     m, _, _, prep = _prepare(args)
     mask, model, _ = _surrogates(args, m)
     _save_fit(args, out, m, mask, model)
-    report = {**_em_health(model), "noise_variance": model.noise_variance, **prep}
-    _finish(args, out, report)
-    print(
-        f"fitted K={args.k} on {m.n_units}x{m.n_causes} (holdout {args.holdout_rate:g});"
-        f" log-likelihood {model.log_likelihood:.2f}"
+    report = {"em": _em_health(model), "noise_variance": model.noise_variance, **prep}
+    _finish(
+        args,
+        out,
+        report,
+        f"factor model fit of K={args.k} on {m.n_units} units x {m.n_causes} causes",
+        f"holdout rate {args.holdout_rate:g}; log-likelihood {model.log_likelihood:.2f}"
+        f" after {model.iterations} E-steps",
     )
     return 0
 
 
 def cmd_check(args, out: str) -> int:
-    m, _, _, _ = _prepare(args)
+    m, _, _, prep = _prepare(args)
     model = _load_model(args.model, m)
     mask = HoldoutMask.from_dict(_read_json(args.mask, "mask"), m.values.shape)
     result = _check(args, model, m, mask)
-    _finish(args, out, result.to_dict())
     verdict = "PASSED" if result.passed else "FAILED"
-    print(
-        f"predictive check score {result.score:.4f}"
-        f" (threshold {result.threshold:g}): {verdict}"
+    _finish(
+        args,
+        out,
+        {**vars(result), "imputation": prep["imputation"]},
+        f"predictive check of a saved K={model.k} model on {m.n_units} units",
+        f"predictive check score {result.score:.4f} (threshold {result.threshold:g}): {verdict}",
     )
     if not result.passed:
         raise PredictiveCheckFailed(result.score, result.threshold)
@@ -369,7 +374,7 @@ def cmd_effects(args, out: str) -> int:
     noncausal = estimate_effects_noncausal(m, y, x)
     _save_fit(args, out, m, mask, model)
     report = {
-        "predictive_check": result.to_dict(),
+        "predictive_check": result,
         "causal": causal.to_dict(),
         "noncausal": noncausal.to_dict(),
         "em": _em_health(model),
@@ -427,7 +432,7 @@ def cmd_robustness(args, out: str) -> int:
                 _, model, z = _surrogates(args, m)
                 report["em"] = _em_health(model)
             table = sweep(m, y, z=z, order=order, alpha=args.alpha)
-            report[label] = table.to_dict()
+            report[label] = table
             paragraphs += [f"{label} sweep", render_sweep_table(table)]
     _finish(args, out, report, f"cause-addition sweep on '{args.outcome}'", *paragraphs)
     return 0

@@ -308,11 +308,6 @@ def load_csv(
     return matrix, outcome, covars
 
 
-def _format_value(v: float) -> str:
-    # repr round-trips float64 exactly, which load_csv relies on.
-    return repr(float(v))
-
-
 def write_csv(
     path: str,
     m: CauseMatrix,
@@ -324,24 +319,24 @@ def write_csv(
     for name, vec in outcomes.items():
         if len(vec) != m.n_units:
             raise ValidationError(f"outcome '{name}' length mismatch")
+    if covariates is not None and len(covariates.values) != m.n_units:
+        raise ValidationError("covariate row count mismatch")
     header = ["id"] + list(m.column_names)
     header += list(outcomes.keys())
     if covariates is not None:
         header += list(covariates.column_names)
     if len(set(header)) != len(header):
         raise ValidationError("column name collision in output schema")
+    columns = [m.values, *(vec.values for vec in outcomes.values())]
+    if covariates is not None:
+        columns.append(covariates.values)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(m.n_units):
-            row = [m.unit_ids[i]]
-            for j in range(m.n_causes):
-                row.append("" if m.missing[i, j] else _format_value(m.values[i, j]))
-            for vec in outcomes.values():
-                row.append(_format_value(vec.values[i]))
-            if covariates is not None:
-                row.extend(_format_value(v) for v in covariates.values[i])
-            writer.writerow(row)
+        # a NaN marks exactly the missing cause cells; repr round-trips
+        # float64 exactly, which load_csv relies on
+        for uid, row in zip(m.unit_ids, np.column_stack(columns).tolist()):
+            writer.writerow([uid, *("" if v != v else repr(v) for v in row)])
 
 
 def standardize(m: CauseMatrix) -> tuple[CauseMatrix, Standardization]:

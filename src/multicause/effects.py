@@ -43,18 +43,6 @@ class RegressionRow:
     ci_high: float
     significance: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mean": self.mean,
-            "std": self.std,
-            "t_stat": self.t_stat,
-            "p_value": self.p_value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "significance": self.significance,
-        }
-
 
 @dataclass(eq=False)
 class RegressionReport:
@@ -72,14 +60,6 @@ class RegressionReport:
     def coefficients(self) -> np.ndarray:
         return np.array([r.mean for r in self.rows])
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "residual_variance": self.residual_variance,
-            "n": self.n,
-            "dof": self.dof,
-        }
-
 
 @dataclass(eq=False)
 class CausalEffectEstimate:
@@ -89,12 +69,10 @@ class CausalEffectEstimate:
     report: RegressionReport
 
     def to_dict(self) -> dict:
-        return {
-            "beta": [float(v) for v in self.beta],
-            "gamma": [float(v) for v in self.gamma],
-            "cause_names": list(self.cause_names),
-            "regression": self.report.to_dict(),
-        }
+        """The fields as tables.canonical_json writes them, `report` as "regression"."""
+        doc = dict(vars(self))
+        doc["regression"] = doc.pop("report")
+        return doc
 
 
 def _as_vector(y) -> np.ndarray:

@@ -47,20 +47,10 @@ class MediationReport:
     decomposition_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "step1": self.step1.to_dict(),
-            "step2": self.step2.to_dict(),
-            "step3": self.step3.to_dict(),
-            "step4": self.step4.to_dict(),
-            "beta_total": [float(v) for v in self.beta_total],
-            "beta_direct": [float(v) for v in self.beta_direct],
-            "theta": [float(v) for v in self.theta],
-            "lambda": float(self.lam),
-            "attenuation": [float(v) for v in self.attenuation],
-            "cause_names": list(self.cause_names),
-            "status": dict(self.status),
-            "decomposition_residual": float(self.decomposition_residual),
-        }
+        """The fields as tables.canonical_json writes them, `lam` as "lambda"."""
+        doc = dict(vars(self))
+        doc["lambda"] = doc.pop("lam")
+        return doc
 
 
 def mediate(

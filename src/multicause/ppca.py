@@ -116,11 +116,11 @@ class PpcaModel:
 
     def to_dict(self) -> dict:
         return {
-            "loadings": [[float(v) for v in row] for row in self.loadings],
-            "mean": [float(v) for v in self.mean],
-            "noise_variance": float(self.noise_variance),
-            "K": int(self.k),
-            "log_likelihood": float(self.log_likelihood),
+            "loadings": self.loadings,
+            "mean": self.mean,
+            "noise_variance": self.noise_variance,
+            "K": self.k,
+            "log_likelihood": self.log_likelihood,
         }
 
     @classmethod
@@ -168,17 +168,6 @@ class PredictiveCheckResult:
     replications: int
     mc_samples: int
     method: str = "mean"
-
-    def to_dict(self) -> dict:
-        return {
-            "score": float(self.score),
-            "per_unit_scores": [float(v) for v in self.per_unit_scores],
-            "threshold": float(self.threshold),
-            "passed": bool(self.passed),
-            "replications": int(self.replications),
-            "mc_samples": int(self.mc_samples),
-            "method": self.method,
-        }
 
 
 def _require_complete(m: CauseMatrix, what: str) -> None:

@@ -44,32 +44,6 @@ class SweepTable:
     def cell(self, cause: str, step: int) -> SweepCell | None:
         return self.cells[step - 1].get(cause)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "order": list(self.order),
-            "cells": [
-                {
-                    name: {
-                        "coefficient": c.coefficient,
-                        "p_value": c.p_value,
-                        "significant": c.significant,
-                    }
-                    for name, c in step.items()
-                }
-                for step in self.cells
-            ],
-            "flips": [
-                {
-                    "cause": f.cause,
-                    "step": f.step,
-                    "from_sign": f.from_sign,
-                    "to_sign": f.to_sign,
-                }
-                for f in self.flips
-            ],
-        }
-
 
 def sweep(
     a: CauseMatrix,

@@ -1,4 +1,9 @@
-"""Plain-text report tables.
+"""Plain-text report tables, and the one JSON encoder for every file.
+
+canonical_json writes every JSON file the package produces: reports,
+manifests, models, masks and synthetic truth. Result dataclasses go in
+as they are, field by field, and numpy arrays and scalars as their
+Python values, so no result spells out its JSON shape a second time.
 
 The effect table mirrors the classic regression summary layout: Mean,
 STD, p-value, then the 95% interval bounds under "[0.025" / "0.975]"
@@ -10,6 +15,9 @@ compared byte for byte.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from .effects import RegressionReport, SIGNIFICANCE_STARS
 from .mediation import MediationReport
@@ -119,6 +127,15 @@ def render_comparison_table(comparison: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain(obj):
+    """One level of a value json cannot write: a dataclass or a numpy value."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def canonical_json(payload) -> str:
     """Stable JSON used for hashing and for every file this package writes."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"

@@ -803,13 +803,11 @@ FITTING = ["fit-ppca", "effects", "mediate", "robustness", "compare-predictive"]
 def test_every_fit_reports_em_health(command, flip_data, mediation_data, fit_dir, tmp_path):
     argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
     assert run(*argv, "--out", tmp_path) == 0
-    report = read_json(tmp_path, "report.json")
-    em = report if command == "fit-ppca" else report["em"]
+    em = read_json(tmp_path, "report.json")["em"]
     assert em["converged"] is True
     assert 1 <= em["iterations"] < PpcaConfig().max_iter
     assert math.isfinite(em["log_likelihood"])
-    if command != "fit-ppca":
-        assert "WARNING" not in (tmp_path / "report.txt").read_text()
+    assert "WARNING" not in (tmp_path / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("command", FITTING)
@@ -822,8 +820,112 @@ def test_unconverged_em_warns_and_stamps_the_report(
         argv.append("--force")  # a one-step fit may fail the check
     assert run(*argv, "--out", tmp_path) == 0
     assert "WARNING: EM stopped at its cap of 1 E-steps" in capsys.readouterr().err
-    report = read_json(tmp_path, "report.json")
-    em = report if command == "fit-ppca" else report["em"]
+    em = read_json(tmp_path, "report.json")["em"]
     assert em["converged"] is False and em["iterations"] == 1
-    if command != "fit-ppca":  # fit-ppca writes no report.txt
-        assert "WARNING: EM stopped" in (tmp_path / "report.txt").read_text()
+    assert "WARNING: EM stopped" in (tmp_path / "report.txt").read_text()
+
+
+def test_unconverged_mice_in_check_is_recorded_and_stamped(sparse_data, tmp_path, capsys):
+    data = ["--input", sparse_data / "data.csv", "--outcome", "popularity"]
+    data += ["--corr-threshold", 0.95, "--seed", 0, "--mice-iterations", 1]
+    assert run("fit-ppca", *data, "--out", tmp_path / "fit") == 0
+    saved = ["--model", tmp_path / "fit" / "model.json", "--mask", tmp_path / "fit" / "holdout.json"]
+    assert run("check", *data, *saved, "--out", tmp_path / "chk") == 0
+    assert "WARNING: MICE stopped at its cap of 1 sweeps" in capsys.readouterr().err
+    report = read_json(tmp_path / "chk", "report.json")
+    assert report["imputation"]["converged"] is False
+    assert shape(report["imputation"]) == IMPUTED
+    assert "WARNING: MICE stopped" in (tmp_path / "chk" / "report.txt").read_text()
+
+
+def shape(value):
+    """The key tree of a JSON document: nested key names and leaf types, not values.
+
+    A list becomes the list of its elements' distinct shapes, in order.
+    """
+    if isinstance(value, dict):
+        return {key: shape(v) for key, v in value.items()}
+    if isinstance(value, list):
+        shapes = []
+        for v in value:
+            if (s := shape(v)) not in shapes:
+                shapes.append(s)
+        return shapes
+    return type(value).__name__
+
+
+ROW = dict.fromkeys(["mean", "std", "t_stat", "p_value", "ci_low", "ci_high"], "float")
+ROW.update(name="str", significance="str")
+REGRESSION = {"rows": [ROW], "residual_variance": "float", "n": "int", "dof": "int"}
+ESTIMATE = {"beta": ["float"], "gamma": ["float"], "cause_names": ["str"], "regression": REGRESSION}
+EM = {"em": {"iterations": "int", "converged": "bool", "log_likelihood": "float"}}
+IMPUTED = {
+    "ran": "bool",
+    "sweeps": "int",
+    "converged": "bool",
+    "max_change": "float",
+    "mean_fallback_columns": [],
+}
+PREP = {  # complete data: MICE does not run
+    "overlap": {"passed": "bool", "failing_rows": []},
+    "imputation": {"ran": "bool"},
+    "screen": {"kept": ["str"], "dropped": []},
+    "standardization": {"mean": ["float"], "scale": ["float"]},
+}
+CHECK = {
+    "score": "float",
+    "per_unit_scores": ["float"],
+    "threshold": "float",
+    "passed": "bool",
+    "replications": "int",
+    "mc_samples": "int",
+    "method": "str",
+}
+CELL = {"coefficient": "float", "p_value": "float", "significant": "bool"}
+FLIP = {"cause": "str", "step": "int", "from_sign": "int", "to_sign": "int"}
+CAUSES = ["c1", "c2", "c3", "c4", "c5"]
+
+
+def sweep_shape(flips):
+    cells = [dict.fromkeys(CAUSES[:t], CELL) for t in range(1, 6)]
+    return {"mode": "str", "order": ["str"], "cells": cells, "flips": flips}
+
+
+REPORT_SHAPES = {
+    "impute": {"imputation": {"ran": "bool"}},
+    "fit-ppca": {**EM, "noise_variance": "float", **PREP},
+    "check": {**CHECK, "imputation": {"ran": "bool"}},
+    "effects": {
+        "predictive_check": CHECK,
+        "causal": ESTIMATE,
+        "noncausal": {**ESTIMATE, "gamma": []},
+        **EM,
+        **PREP,
+    },
+    "mediate": {
+        **{f"step{i}": REGRESSION for i in range(1, 5)},
+        **dict.fromkeys(["beta_total", "beta_direct", "theta", "attenuation"], ["float"]),
+        "lambda": "float",
+        "cause_names": ["str"],
+        "status": dict.fromkeys(["c1", "c2", "c3", "c4", "c5", "c6"], "str"),
+        "decomposition_residual": "float",
+        **EM,
+        **PREP,
+    },
+    "robustness": {**PREP, **EM, "noncausal": sweep_shape([FLIP]), "causal": sweep_shape([])},
+    "compare-predictive": {
+        "comparison": dict.fromkeys(["causal", "noncausal"], {"mse": "float", "mae": "float"}),
+        **EM,
+        **PREP,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHAPES))
+def test_report_key_tree_is_pinned(command, flip_data, mediation_data, fit_dir, tmp_path):
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
+    if command == "robustness":
+        argv += ["--mode", "both"]
+    assert run(*argv, "--out", tmp_path) == 0
+    report = read_json(tmp_path, "report.json")
+    assert shape(report) == {"manifest_hash": "str", **REPORT_SHAPES[command]}

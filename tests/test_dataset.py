@@ -5,6 +5,7 @@ import pytest
 
 from multicause.dataset import (
     CauseMatrix,
+    CovariateMatrix,
     HoldoutMask,
     OutcomeVector,
     check_overlap,
@@ -97,14 +98,24 @@ def test_roundtrip_is_bit_exact(tmp_path):
     miss[:, 0] = False  # keep one column complete
     m = CauseMatrix(vals.copy(), ["a", "b", "c"], [f"u{i}" for i in range(20)], miss)
     y = OutcomeVector(rng.standard_normal(20), kind="popularity")
+    x = CovariateMatrix(rng.standard_normal((20, 2)) / 3, ["w", "v"])
     path = str(tmp_path / "out.csv")
-    write_csv(path, m, outcomes={"popularity": y})
+    write_csv(path, m, outcomes={"popularity": y}, covariates=x)
     schema = {"id": "id", "a": "cause", "b": "cause", "c": "cause", "popularity": "outcome"}
-    m2, y2, _ = load_csv(path, schema, outcome_kind="popularity")
+    schema.update(w="covariate", v="covariate")
+    m2, y2, x2 = load_csv(path, schema, outcome_kind="popularity")
     assert np.array_equal(m.missing, m2.missing)
     keep = ~m.missing
     assert np.array_equal(m.values[keep], m2.values[keep])  # repr round-trip
     assert np.array_equal(y.values, y2.values)
+    assert np.array_equal(x.values, x2.values)
+    # every block must have one row per unit
+    short = OutcomeVector(y.values[:19])
+    with pytest.raises(ValidationError, match="outcome 'popularity'"):
+        write_csv(path, m, outcomes={"popularity": short})
+    tall = CovariateMatrix(np.vstack([x.values, x.values[:1]]), ["w", "v"])
+    with pytest.raises(ValidationError, match="covariate"):
+        write_csv(path, m, covariates=tall)
 
 
 def test_cause_matrix_validation():

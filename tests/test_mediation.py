@@ -1,5 +1,7 @@
 """Four-step mediation on generated data with known path coefficients."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from multicause.mediation import (
 )
 from multicause.ppca import SurrogateConfounders
 from multicause.synthetic import config_mediation, generate
+from multicause.tables import canonical_json
 
 
 def dead_surrogates(n):
@@ -116,7 +119,7 @@ def test_length_disagreement_rejected():
 def test_report_serialization():
     m, r, y, _ = generate(config_mediation(n_units=500, seed=5))
     rep = mediate(m, dead_surrogates(500), r, y)
-    doc = rep.to_dict()
+    doc = json.loads(canonical_json(rep.to_dict()))
     assert doc["lambda"] == rep.lam
     assert doc["beta_total"] == [float(v) for v in rep.beta_total]
     assert doc["cause_names"] == ["c1", "c2", "c3", "c4", "c5", "c6"]

@@ -7,6 +7,8 @@ up positive; at the final step it swings negative. Adjusting for the
 inferred confounder keeps c1 negative throughout.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from multicause.errors import ValidationError
 from multicause.ppca import PpcaConfig, fit_ppca, posterior_mean_partial
 from multicause.robustness import SweepCell, sweep
 from multicause.synthetic import config_flip, generate
+from multicause.tables import canonical_json
 
 
 def matrix_from(vals):
@@ -115,7 +118,7 @@ def test_sweep_table_shape_and_serialization():
     assert len(table.cells) == 5
     for t, step_cells in enumerate(table.cells, start=1):
         assert len(step_cells) == t
-    doc = table.to_dict()
+    doc = json.loads(canonical_json(table))
     assert doc["mode"] == "noncausal"
     assert doc["order"] == ["c1", "c2", "c3", "c4", "c5"]
     cell = doc["cells"][0]["c1"]

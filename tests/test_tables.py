@@ -4,10 +4,13 @@ The fixtures are hand-built reports, so the goldens pin the layout
 without depending on any fitted numbers.
 """
 
+import dataclasses
 import json
 import pathlib
+from decimal import Decimal
 
 import numpy as np
+import pytest
 
 from multicause.effects import RegressionReport, RegressionRow
 from multicause.mediation import MediationReport
@@ -223,3 +226,28 @@ def test_canonical_json_is_stable_and_sorted():
     keys = [line.split('"')[1] for line in text.splitlines() if '":' in line]
     assert keys == sorted(keys)
     assert json.loads(text) == {"a": [1, 2], "b": 1, "c": {"x": None, "y": 0.5}}
+
+
+def test_canonical_json_writes_dataclasses_and_numpy_values():
+    @dataclasses.dataclass
+    class Inner:
+        flag: np.bool_
+        count: np.int64
+
+    @dataclasses.dataclass
+    class Outer:
+        values: np.ndarray
+        inner: list
+
+    doc = Outer(np.array([[0.1, 2.0]]), [Inner(np.bool_(True), np.int64(3))])
+    text = canonical_json({"doc": doc, "x": np.float64(0.1)})
+    assert json.loads(text) == {
+        "doc": {"values": [[0.1, 2.0]], "inner": [{"flag": True, "count": 3}]},
+        "x": 0.1,
+    }
+
+
+def test_canonical_json_rejects_unknown_objects():
+    for value in (object(), {1, 2}, Decimal("1.5"), RegressionReport):
+        with pytest.raises(TypeError):
+            canonical_json({"value": value})
