@@ -225,19 +225,6 @@ def _warn(report: dict) -> None:
         print(line, file=sys.stderr)
 
 
-def _check(args, model: PpcaModel, m: CauseMatrix, mask: HoldoutMask):
-    return predictive_check(
-        model,
-        m,
-        mask,
-        replications=args.replications,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        threshold=args.check_threshold,
-        method=args.check_method,
-    )
-
-
 def _save_fit(args, out: str, m: CauseMatrix, mask: HoldoutMask, model: PpcaModel) -> None:
     model_doc = model.to_dict()
     model_doc["columns"] = list(m.column_names)
@@ -310,7 +297,8 @@ def cmd_impute(args, out: str) -> int:
     m, y, x = _load(args)
     m, diagnostics = _impute(args, m)
     outcomes = {args.outcome: y} if args.outcome else {}
-    write_csv(os.path.join(out, "imputed.csv"), m, outcomes=outcomes, covariates=x)
+    path = os.path.join(out, "imputed.csv")
+    write_csv(path, m, outcomes=outcomes, covariates=x, id_column=args.id_column)
     summary = "no missing causes"
     if diagnostics["ran"]:
         summary = (
@@ -344,7 +332,7 @@ def cmd_check(args, out: str) -> int:
     m, _, _, prep = _prepare(args)
     model = _load_model(args.model, m)
     mask = HoldoutMask.from_dict(_read_json(args.mask, "mask"), m.values.shape)
-    result = _check(args, model, m, mask)
+    result = predictive_check(model, m, mask, threshold=args.check_threshold)
     verdict = "PASSED" if result.passed else "FAILED"
     _finish(
         args,
@@ -361,7 +349,7 @@ def cmd_check(args, out: str) -> int:
 def cmd_effects(args, out: str) -> int:
     m, y, x, prep = _prepare(args)
     mask, model, z = _surrogates(args, m)
-    result = _check(args, model, m, mask)
+    result = predictive_check(model, m, mask, threshold=args.check_threshold)
     if not result.passed:
         if not args.force:
             raise PredictiveCheckFailed(result.score, result.threshold)
@@ -461,10 +449,10 @@ def _flag(*names: str, **kwargs):
 
 
 def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2**64), the range every seeded stage takes.
+    """A --seed value: an integer in [0, 2**64), one 64-bit word.
 
-    The predictive check uses the seed as one 64-bit Philox key word, so the
-    bound is checked here, before any stage runs.
+    The bound is checked here, before any stage runs, so an out-of-range
+    seed fails at once rather than inside the first stage that draws.
     """
     seed = int(text)
     if not 0 <= seed < 2**64:
@@ -491,23 +479,20 @@ _INPUT = [
 ]
 _OPTIONAL_OUTCOME = _flag("--outcome", default=None, help="outcome column name (optional)")
 _IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _OUT]
-_PREPARE = [*_INPUT, _flag("--corr-threshold", type=float, default=0.7), _SEED, _OUT]
+_PREPARE = [*_INPUT, _flag("--corr-threshold", type=float, default=0.7), _OUT]
 _FIT = [
     _flag("-k", "--latent-dim", dest="k_requested", type=int, default=None),
     _flag("--holdout-rate", type=float, default=0.2),
 ]
-_CHECK = [
-    _flag("--replications", type=int, default=100),
-    _flag("--mc-samples", type=int, default=100),
-    _flag("--check-threshold", type=float, default=0.1),
-    _flag("--check-method", choices=("mean", "pooled"), default="mean"),
-]
+_CHECK = _flag("--check-threshold", type=float, default=0.1)
 _SAVED = [
     _flag("--model", required=True, help="model.json from fit-ppca"),
     _flag("--mask", required=True, help="holdout.json from fit-ppca"),
 ]
 # the analyses: a required outcome and a fresh fit
-_ANALYSIS = [*_PREPARE, _flag("--outcome", required=True, help="outcome column name"), *_FIT]
+_ANALYSIS = [
+    *_PREPARE, _SEED, _flag("--outcome", required=True, help="outcome column name"), *_FIT
+]
 _FORCE = _flag("--force", action="store_true", help="proceed past a failed check")
 _MEDIATOR = _flag("--mediator", required=True, help="mediator column name")
 _ALPHA = _flag("--alpha", type=float, default=0.05)
@@ -521,14 +506,16 @@ COMMANDS = {
     "synth": (cmd_synth, "generate a synthetic benchmark dataset", _SYNTH),
     "impute": (cmd_impute, "fill missing cause entries", _IMPUTE),
     "fit-ppca": (
-        cmd_fit_ppca, "fit the factor model over the causes", [*_PREPARE, _OPTIONAL_OUTCOME, *_FIT]
+        cmd_fit_ppca,
+        "fit the factor model over the causes",
+        [*_PREPARE, _SEED, _OPTIONAL_OUTCOME, *_FIT],
     ),
     "check": (
         cmd_check,
         "score a saved model on held-out entries",
-        [*_PREPARE, _OPTIONAL_OUTCOME, *_SAVED, *_CHECK],
+        [*_PREPARE, _OPTIONAL_OUTCOME, *_SAVED, _CHECK],
     ),
-    "effects": (cmd_effects, "full causal effect pipeline", [*_ANALYSIS, *_CHECK, _FORCE]),
+    "effects": (cmd_effects, "full causal effect pipeline", [*_ANALYSIS, _CHECK, _FORCE]),
     "mediate": (
         cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _ALPHA]
     ),

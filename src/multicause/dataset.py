@@ -313,15 +313,16 @@ def write_csv(
     m: CauseMatrix,
     outcomes: dict[str, OutcomeVector] | None = None,
     covariates: CovariateMatrix | None = None,
+    id_column: str = "id",
 ) -> None:
-    """Write a dataset in the same schema load_csv reads (missing -> "")."""
+    """Write a dataset in the same schema load_csv reads (missing -> ""), ids under `id_column`."""
     outcomes = outcomes or {}
     for name, vec in outcomes.items():
         if len(vec) != m.n_units:
             raise ValidationError(f"outcome '{name}' length mismatch")
     if covariates is not None and len(covariates.values) != m.n_units:
         raise ValidationError("covariate row count mismatch")
-    header = ["id"] + list(m.column_names)
+    header = [id_column] + list(m.column_names)
     header += list(outcomes.keys())
     if covariates is not None:
         header += list(covariates.column_names)

@@ -26,22 +26,16 @@ precision M_g = W_g'W_g + s2 I, mean M_g^-1 W_g'(a_g - mu_g), covariance
 s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked call
 and serves the EM, the surrogates and the check.
 
-The check draws in the held space: its statistic reads the posterior
-samples only through their held means W_H z, so each unit draws those
-from min(h, K) normals and its replicates directly from the
-h-dimensional predictive N(W_H m, GG' + s2 I), exactly in distribution
-(G = W_H F, F F' = s2 M^-1). Each unit's stream is a Philox generator
-(Salmon et al., SC 2011) keyed on (seed, an 8-byte blake2b digest of its
-unit id), so its score follows the unit, not its row position. Units
-are scored array-at-a-time: rows with the same held count h are taken
-in chunks across patterns, as many rows as fit their draws in a fixed
-byte budget, and the draws and t statistics of a chunk come from stacked
-matmuls. The per-unit scores do not depend on the chunking.
+The held-out predictive check is exact: under PPCA the posterior-averaged
+held-out log-likelihood and its predictive distribution have closed forms,
+so a unit's score is the upper tail of a weighted sum of chi-square(1)
+variables at the unit's held-out residual, summed by Ruben's series (see
+`predictive_check`). It draws nothing, so a unit's score depends only on
+its causes and its mask row.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -55,10 +49,13 @@ _LN_2PI = math.log(2.0 * math.pi)
 # fit_ppca latent dimension defaults by outcome kind
 DEFAULT_K = {"rating": 10, "popularity": 5, "custom": 5}
 
-# Bytes of normal draws the predictive check holds per stacked batch of
-# units. The batch's work arrays scale with it: larger batches cut numpy's
-# per-call overhead further but raise peak RSS.
-_CHECK_CHUNK_BYTES = 256 * 1024
+# Ruben's series in the predictive check stops, unit by unit, once the
+# unit's unsummed weight, which bounds its truncation error, is at most
+# _SERIES_TOL. Its
+# length grows with the spread of the held-out covariance's eigenvalues (at
+# most 1 + |W_H|^2 / s2): 10,000 terms reach a spread of about 300 at h = 2.
+_SERIES_TOL = 1e-12
+_SERIES_TERMS = 10_000
 
 
 @dataclass
@@ -165,9 +162,7 @@ class PredictiveCheckResult:
     per_unit_scores: np.ndarray
     threshold: float
     passed: bool
-    replications: int
-    mc_samples: int
-    method: str = "mean"
+    method: str = "mean"  # the score is the mean of the per-unit scores
 
 
 def _require_complete(m: CauseMatrix, what: str) -> None:
@@ -237,10 +232,8 @@ def _patterns(observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.nda
     return observed[first], inverse, groups
 
 
-def _precisions(
-    pats: np.ndarray, w: np.ndarray, s2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (M_g^-1, L_g^-1, log det M_g) over patterns, with L_g L_g' = M_g."""
+def _precisions(pats: np.ndarray, w: np.ndarray, s2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (M_g^-1, log det M_g) over patterns, from one batched Cholesky of M_g."""
     d, k = w.shape
     outer = (w[:, :, None] * w[:, None, :]).reshape(d, k * k)
     m_mat = (pats @ outer).reshape(-1, k, k) + s2 * np.eye(k)
@@ -251,7 +244,7 @@ def _precisions(
     linv = np.linalg.inv(chol)
     minv = linv.transpose(0, 2, 1) @ linv
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return minv, linv, logdet
+    return minv, logdet
 
 
 def fit_ppca(
@@ -308,7 +301,7 @@ def fit_ppca(
 
     def estep(w: np.ndarray, s2: float) -> tuple[np.ndarray, np.ndarray, float]:
         # A_j = sum over rows observing j of E[z z'], B = sum_i x_i E[z_i]'
-        minv, _, logdet = _precisions(pats, w, s2)
+        minv, logdet = _precisions(pats, w, s2)
         b = xs @ w
         c = np.add.reduceat(b[:, :, None] * b[:, None, :], starts)  # W_g' S_g W_g
         means = np.einsum("rkl,rl->rk", np.repeat(minv, sizes, axis=0), b)
@@ -416,7 +409,7 @@ def posterior_mean_partial(
         raise ValidationError("matrix width disagrees with the model")
     observed = _observed(mask, n, d)
     pats, inverse, _ = _patterns(observed)
-    minv, _, _ = _precisions(pats, model.loadings, model.noise_variance)
+    minv, _ = _precisions(pats, model.loadings, model.noise_variance)
     rows = minv[inverse]
     xc = np.where(observed, m.values - model.mean, 0.0)
     values = np.einsum("nkl,nl->nk", rows, xc @ model.loadings)
@@ -424,150 +417,101 @@ def posterior_mean_partial(
     return SurrogateConfounders(values=values, posterior_covariance=cov)
 
 
-def _unit_key(unit_id: str) -> int:
-    """A unit's stream key: the 8-byte blake2b digest of its id, little-endian."""
-    return int.from_bytes(hashlib.blake2b(unit_id.encode(), digest_size=8).digest(), "little")
+def _chi2_mixture_sf(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P(sum_j lam_j X_j > q) per row of lam (c, h), the X_j iid chi-square(1).
 
-
-def _held_factors(
-    wh: np.ndarray, linv: np.ndarray, s2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked draw factors (A, B) in the held space of rows sharing h.
-
-    With G = W_H F, where F F' = s2 M^-1 is the posterior covariance of z,
-    a posterior sample's held mean is W_H m + e A (e of length min(h, K),
-    A'A = GG') and a held replicate is W_H m + e B (e of length h,
-    B'B = GG' + s2 I). A is G' when h >= K, else the R of G' = QR.
+    Ruben's series (Ann. Math. Statist. 1962) with beta = min_j lam_j:
+    the tail is sum_k c_k Q(h/2 + k, q / 2 beta), Q the regularized upper
+    incomplete gamma. The weights follow the recursion of Kotz, Johnson &
+    Boyd (Ann. Math. Statist. 1967): c_0 = prod_j sqrt(beta / lam_j) and
+    c_k = (1/2k) sum_{r<k} d_{k-r} c_r, with d_i = sum_j g_j^i and
+    g_j = 1 - beta / lam_j; the sum over r is carried per j, so a term
+    costs O(h). The weights are positive and sum to 1, so the mass not yet
+    summed bounds the truncation error; a row stops adding terms once it is
+    at most `_SERIES_TOL`, so its sum does not depend on the other rows.
+    Q starts from Q(1/2, y) = erfc(sqrt y) or Q(1, y) = e^-y and climbs
+    by Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1). With
+    h = 1 (or equal lam) c_0 = 1, and the series is its first term.
     """
-    k, h = linv.shape[-1], wh.shape[1]
-    a = math.sqrt(s2) * linv @ wh.transpose(0, 2, 1)  # G', with F = sigma L^-1'
-    if h < k:
-        a = np.linalg.qr(a, mode="r")
-    b = np.linalg.cholesky(a.transpose(0, 2, 1) @ a + s2 * np.eye(h))
-    return a, b.transpose(0, 2, 1)
+    h = lam.shape[1]
+    beta = lam.min(axis=1, keepdims=True)
+    gamma = 1.0 - beta / lam
+    y = q / (2.0 * beta[:, 0])
+    with np.errstate(divide="ignore"):  # y = 0 climbs by 0
+        log_y = np.log(y)
+    if h % 2:
+        a, tail = 0.5, np.array([math.erfc(math.sqrt(v)) for v in y.tolist()])
+    else:
+        a, tail = 1.0, np.exp(-y)
+
+    def climb(a, tail):
+        return a + 1.0, tail + np.exp(a * log_y - y - math.lgamma(a + 1.0))
+
+    while a < 0.5 * h:
+        a, tail = climb(a, tail)
+    c = np.sqrt(beta / lam).prod(axis=1)
+    sf, mass, acc, k = c * tail, c, np.zeros_like(lam), 0
+    while np.any(live := mass < 1.0 - _SERIES_TOL):
+        k += 1
+        if k > _SERIES_TERMS:
+            raise NumericError(
+                f"predictive check series unconverged after {_SERIES_TERMS} terms:"
+                " the held-out covariance is too ill-conditioned (collapsed noise variance?)"
+            )
+        acc = gamma * (acc + c[:, None])  # acc_j = sum_{r<k} g_j^(k-r) c_r
+        c = acc.sum(axis=1) / (2 * k)
+        a, tail = climb(a, tail)
+        sf = sf + np.where(live, c * tail, 0.0)
+        mass = mass + np.where(live, c, 0.0)
+    return sf
 
 
 def predictive_check(
-    model: PpcaModel,
-    m: CauseMatrix,
-    mask: HoldoutMask,
-    replications: int = 100,
-    mc_samples: int = 100,
-    seed: int = 0,
-    threshold: float = 0.1,
-    method: str = "mean",
+    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask, threshold: float = 0.1
 ) -> PredictiveCheckResult:
-    """Held-out predictive check of the fitted factor model.
+    """Held-out predictive check of the fitted factor model, in closed form.
 
     Per unit, the statistic is the posterior-averaged held-out
-    log-likelihood t(a_held) = (1/S) sum_s log p(a_held | z_s), with z_s
-    drawn from the posterior given the observed coordinates. The unit's
-    score is the fraction of `replications` model-generated held-out
-    replicates whose statistic falls below the real one; the overall
-    score averages units ("mean") or compares pooled sums ("pooled").
+    log-likelihood t(a_H) = E[log p(a_H | z)], z from the posterior given
+    the observed coordinates. The unit's score is the probability that a
+    held-out replicate drawn from the model's predictive has a statistic
+    below the real one, and the overall score is the mean over units.
     Well-calibrated models score near 0.5, broken ones near 0.
 
-    The statistic needs z_s only through the held means W_H z_s, so both
-    draws are made in the held space (see `_held_factors`): the S held
-    means from min(h, K) normals each, and each replicate directly from
-    its predictive N(W_H m, GG' + s2 I) with h normals. Both are exact in
-    distribution. Each unit draws from its own stream: a Philox generator
-    keyed on (seed, the 8-byte blake2b digest of its unit id), started at
-    counter 0, S*min(h, K) normals for the statistic and then R*h for the
-    replicates. A unit's score thus depends on its id, its causes and its
-    mask row, not on its position or on the other rows: a reordered
-    matrix or a row subset scores each unit as before. Units sharing an
-    id share a stream.
-
-    Units are scored in chunks of rows sharing a held count h, taken
-    across patterns in row order, with as many rows per chunk as fit
-    their draws in `_CHECK_CHUNK_BYTES`; only the per-unit restart and
-    draw stay in Python.
+    With posterior mean m and covariance s2 M^-1, t(a) = const -
+    ||a - W_H m||^2 / (2 s2), and a replicate is N(W_H m, C) with
+    C = s2 (W_H M^-1 W_H' + I). A unit's score is therefore
+    P(sum_j lam_j X_j > q), the X_j iid chi-square(1), lam the eigenvalues
+    of C and q = ||a_H - W_H m||^2, summed by `_chi2_mixture_sf` to
+    within 1e-12. C depends on a row only through its pattern, so its
+    eigenvalues come from one stacked `eigvalsh` over the patterns of each
+    held count h. The check draws nothing: a unit's score depends only on
+    its causes and its mask row, up to BLAS rounding in the posterior means.
     """
     _require_complete(m, "predictive_check")
     n, d = m.values.shape
     if d != model.n_causes:
         raise ValidationError("matrix width disagrees with the model")
     observed = _observed(mask, n, d)
-    if replications < 10 or mc_samples < 10:
-        raise ValidationError("need replications >= 10 and mc_samples >= 10")
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must be in [0, 2**64)")
-    if method not in ("mean", "pooled"):
-        raise ValidationError("method must be 'mean' or 'pooled'")
     if np.any(observed.all(axis=1)):
         raise ValidationError("every row needs at least one held-out entry")
 
-    w = model.loadings
-    s2 = model.noise_variance
-    k = model.k
-    xc = m.values - model.mean
+    w, s2 = model.loadings, model.noise_variance
+    means = posterior_mean_partial(model, m, mask).values
+    resid = np.where(observed, 0.0, m.values - model.mean - means @ w.T)
     pats, inverse, _ = _patterns(observed)
-    minv, linv, _ = _precisions(pats, w, s2)
-    # Each unit restarts one Philox generator from `fresh`, a just-keyed
-    # state whose key word 1 is set to the unit's key. Constructing a
-    # generator per unit draws the same streams but cost 0.12 s more of the
-    # suite workload's 2.0 s wall time (median of ten runs, 2-vCPU machine).
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-
+    minv, _ = _precisions(pats, w, s2)
+    q = np.einsum("nd,nd->n", resid, resid)
+    held = ~pats
+    held_count = held.sum(axis=1)
     per_unit = np.empty(n)
-    pooled_real = 0.0
-    pooled_rep = np.zeros(replications)
-    held_count = d - observed.sum(axis=1)
-    by_count = np.argsort(held_count, kind="stable")
     # bincount, not np.unique: unique on a numeric array imports numpy.ma,
     # which costs about 1 MB of peak RSS in a run that needs nothing else of it
     for h in np.flatnonzero(np.bincount(held_count)).tolist():
-        same_h = by_count[held_count[by_count] == h]
-        const = -0.5 * h * math.log(2.0 * math.pi * s2)
-        stat_end = mc_samples * min(h, k)
-        width = stat_end + replications * h
-        chunk = max(1, _CHECK_CHUNK_BYTES // (8 * width))
-        draws = np.empty((min(chunk, same_h.size), width))
-        for start in range(0, same_h.size, chunk):
-            rows = same_h[start : start + chunk]
-            c = rows.size
-            for j, i in enumerate(rows.tolist()):
-                key[1] = _unit_key(m.unit_ids[i])
-                bitgen.state = fresh
-                rng.standard_normal(out=draws[j])
-            obs = observed[rows]
-            g = inverse[rows]
-            wh = w[np.nonzero(~obs)[1].reshape(c, h)]  # (c, h, K)
-            # posterior means, as posterior_mean_partial computes them
-            means = np.einsum("ckl,cl->ck", minv[g], np.where(obs, xc[rows], 0.0) @ w)
-            held_mean = (wh @ means[:, :, None]).transpose(0, 2, 1)  # (c, 1, h)
-            stat_factor, rep_factor = _held_factors(wh, linv[g], s2)
-            eps = draws[:c, :stat_end].reshape(c, mc_samples, -1)
-            nu = held_mean + eps @ stat_factor  # (c, S, h) predicted centered means
-            nu_bar = nu.mean(axis=1, keepdims=True)
-            nu_sq = (nu * nu).mean(axis=1, keepdims=True)
-
-            def t_stat(a_held):
-                # (1/S) sum_s log N(a | nu_s, s2) via the quadratic expansion
-                quad = (a_held * a_held - 2.0 * a_held * nu_bar + nu_sq).sum(axis=-1)
-                return const - quad / (2.0 * s2)
-
-            t_real = t_stat(xc[rows][~obs].reshape(c, 1, h))  # (c, 1)
-            noise = draws[:c, stat_end:].reshape(c, replications, h)
-            t_rep = t_stat(held_mean + noise @ rep_factor)  # (c, R)
-            per_unit[rows] = np.mean(t_rep < t_real, axis=1)
-            pooled_real += float(t_real.sum())
-            pooled_rep += t_rep.sum(axis=0)
-
-    if method == "mean":
-        score = float(per_unit.mean())
-    else:
-        score = float(np.mean(pooled_rep < pooled_real))
-    return PredictiveCheckResult(
-        score=score,
-        per_unit_scores=per_unit,
-        threshold=threshold,
-        passed=bool(score > threshold),
-        replications=replications,
-        mc_samples=mc_samples,
-        method=method,
-    )
+        group = np.flatnonzero(held_count == h)
+        wh = w[np.nonzero(held[group])[1].reshape(-1, h)]  # (patterns, h, K)
+        lam = np.linalg.eigvalsh(s2 * (wh @ minv[group] @ wh.transpose(0, 2, 1) + np.eye(h)))
+        rows = np.flatnonzero(held_count[inverse] == h)
+        per_unit[rows] = _chi2_mixture_sf(lam[np.searchsorted(group, inverse[rows])], q[rows])
+    score = float(per_unit.mean())
+    return PredictiveCheckResult(score, per_unit, threshold, passed=bool(score > threshold))

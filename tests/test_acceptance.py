@@ -171,18 +171,13 @@ def test_criterion_3_predictive_check_calibration(capsys):
         m = matrix_from(a)
         mask = make_holdout(m, rate=0.2, seed=seed)
         model = fit_ppca(m, k, PpcaConfig(seed=seed), mask=mask)
-        res = predictive_check(
-            model, m, mask, replications=100, mc_samples=100, seed=seed
-        )
+        res = predictive_check(model, m, mask)
         well_passed += res.passed
 
         sd = np.sqrt(np.einsum("jk,jk->j", w_true, w_true) + s2_true)
         displaced = a.copy()
         displaced[mask.held] += 10.0 * np.broadcast_to(sd, (n, d))[mask.held]
-        res_bad = predictive_check(
-            model, matrix_from(displaced), mask, replications=100,
-            mc_samples=100, seed=seed,
-        )
+        res_bad = predictive_check(model, matrix_from(displaced), mask)
         displaced_failed += not res_bad.passed
     elapsed = time.perf_counter() - start
     ok = well_passed >= 95 and displaced_failed >= 95 and elapsed < 300.0

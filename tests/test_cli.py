@@ -183,8 +183,6 @@ def test_fit_ppca_then_check_reproduces_the_pipeline_score(flip_data, tmp_path):
         "popularity",
         "--corr-threshold",
         0.95,
-        "--seed",
-        0,
         "--model",
         fit_dir / "model.json",
         "--mask",
@@ -278,6 +276,17 @@ def test_impute_takes_no_seed(sparse_data, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("flag", ["--seed", "--replications", "--mc-samples", "--check-method"])
+def test_check_draws_nothing_so_takes_no_sampler_flags(
+    flag, flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    argv = contract_argv("check", flip_data, mediation_data, fit_dir)
+    with pytest.raises(SystemExit) as exc:
+        run("check", *argv, flag, "mean" if flag == "--check-method" else 10, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 def seeded_effects_args(data_dir, out_dir, seed):
     args = list(effects_args(data_dir, out_dir))
     args[args.index("--seed") + 1] = seed
@@ -350,8 +359,6 @@ def test_check_refuses_model_from_other_columns(flip_data, sparse_data, tmp_path
         "popularity",
         "--corr-threshold",
         0.95,
-        "--seed",
-        0,
         "--model",
         fit_dir / "model.json",
         "--mask",
@@ -366,8 +373,8 @@ def test_check_refuses_model_from_other_columns(flip_data, sparse_data, tmp_path
 def test_check_rejects_model_with_nan_loading(flip_data, tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     data = ("--input", flip_data / "data.csv", "--outcome", "popularity",
-            "--corr-threshold", 0.95, "--seed", 0)
-    assert run("fit-ppca", *data, "--out", fit_dir) == 0
+            "--corr-threshold", 0.95)
+    assert run("fit-ppca", *data, "--seed", 0, "--out", fit_dir) == 0
     model = read_json(fit_dir, "model.json")
     model["loadings"][0][0] = float("nan")
     (fit_dir / "model.json").write_text(json.dumps(model))
@@ -409,6 +416,21 @@ def test_impute_cli_round_trip(sparse_data, tmp_path):
     )
     assert code == 0
     assert read_json(out2, "report.json")["imputation"]["ran"] is False
+
+
+def test_impute_keeps_the_id_column_name(sparse_data, tmp_path):
+    # the imputed file must be readable with the flags that wrote it
+    lines = (sparse_data / "data.csv").read_text().splitlines(keepends=True)
+    assert lines[0].startswith("id,")
+    renamed = tmp_path / "uid.csv"
+    renamed.write_text("uid" + lines[0][2:] + "".join(lines[1:]))
+    flags = ["--outcome", "popularity", "--id-column", "uid"]
+    assert run("impute", "--input", renamed, *flags, "--out", tmp_path / "first") == 0
+    first = tmp_path / "first" / "imputed.csv"
+    assert first.read_text().startswith("uid,")
+    assert run("impute", "--input", first, *flags, "--out", tmp_path / "second") == 0
+    second = (tmp_path / "second" / "imputed.csv").read_text()
+    assert second == first.read_text()
 
 
 def test_unconverged_mice_warns_and_stamps_the_report(sparse_data, flip_data, tmp_path, capsys):
@@ -715,8 +737,6 @@ def test_malformed_mask_is_a_validation_error(payload, flip_data, fit_dir, tmp_p
         "popularity",
         "--corr-threshold",
         0.95,
-        "--seed",
-        0,
         "--model",
         fit_dir / "model.json",
         "--mask",
@@ -731,13 +751,13 @@ def test_malformed_mask_is_a_validation_error(payload, flip_data, fit_dir, tmp_p
 
 
 def contract_argv(command, flip, med, fit):
-    fitting = ["--input", flip / "data.csv", "--outcome", "popularity"]
-    fitting += ["--corr-threshold", 0.95, "--seed", 0]
+    scored = ["--input", flip / "data.csv", "--outcome", "popularity", "--corr-threshold", 0.95]
+    fitting = [*scored, "--seed", 0]
     return {
         "synth": ["--scenario", "flip", "--n", 100, "--seed", 0],
         "impute": ["--input", flip / "data.csv", "--outcome", "popularity"],
         "fit-ppca": fitting,
-        "check": [*fitting, "--model", fit / "model.json", "--mask", fit / "holdout.json"],
+        "check": [*scored, "--model", fit / "model.json", "--mask", fit / "holdout.json"],
         "effects": fitting,
         "mediate": [
             "--input",
@@ -827,8 +847,8 @@ def test_unconverged_em_warns_and_stamps_the_report(
 
 def test_unconverged_mice_in_check_is_recorded_and_stamped(sparse_data, tmp_path, capsys):
     data = ["--input", sparse_data / "data.csv", "--outcome", "popularity"]
-    data += ["--corr-threshold", 0.95, "--seed", 0, "--mice-iterations", 1]
-    assert run("fit-ppca", *data, "--out", tmp_path / "fit") == 0
+    data += ["--corr-threshold", 0.95, "--mice-iterations", 1]
+    assert run("fit-ppca", *data, "--seed", 0, "--out", tmp_path / "fit") == 0
     saved = ["--model", tmp_path / "fit" / "model.json", "--mask", tmp_path / "fit" / "holdout.json"]
     assert run("check", *data, *saved, "--out", tmp_path / "chk") == 0
     assert "WARNING: MICE stopped at its cap of 1 sweeps" in capsys.readouterr().err
@@ -877,8 +897,6 @@ CHECK = {
     "per_unit_scores": ["float"],
     "threshold": "float",
     "passed": "bool",
-    "replications": "int",
-    "mc_samples": "int",
     "method": "str",
 }
 CELL = {"coefficient": "float", "p_value": "float", "significant": "bool"}

@@ -5,14 +5,15 @@ spectrum, which gives an exact oracle for the fit; the SQUAREM loop is
 held to a plain EM reference loop kept here; posterior formulas
 are checked against hand-derived special cases and scipy linear algebra,
 and the fitted likelihood against scipy's multivariate normal, row by row.
+The check's exact tail is held to scipy's chi-square tail, Imhof's
+integral evaluated by scipy quadrature, and brute-force draws.
 """
 
-import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.stats
 from hypothesis import assume, given, settings
@@ -216,15 +217,12 @@ def test_predictive_check_calibrated_and_deterministic():
     m, _ = sample_ppca(400, W_TRUE, 0.3, seed=15)
     mask = make_holdout(m, rate=0.2, seed=16)
     model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
-    res = predictive_check(model, m, mask, seed=5)
-    again = predictive_check(model, m, mask, seed=5)
+    res = predictive_check(model, m, mask)
+    again = predictive_check(model, m, mask)
     assert res.score == again.score
     assert np.array_equal(res.per_unit_scores, again.per_unit_scores)
     assert 0.35 < res.score < 0.65
     assert res.passed
-    pooled = predictive_check(model, m, mask, seed=5, method="pooled")
-    assert 0.0 <= pooled.score <= 1.0
-    assert pooled.method == "pooled"
 
 
 def test_predictive_check_flags_displaced_holdout():
@@ -233,7 +231,7 @@ def test_predictive_check_flags_displaced_holdout():
     model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
     bad = m.values.copy()
     bad[mask.held] += 10.0 * math.sqrt(model.noise_variance + 2.0)
-    res = predictive_check(model, matrix_from(bad), mask, seed=5)
+    res = predictive_check(model, matrix_from(bad), mask)
     assert res.score < 0.05
     assert not res.passed
 
@@ -242,16 +240,6 @@ def test_predictive_check_input_validation():
     m, _ = sample_ppca(50, W_TRUE, 0.3, seed=19)
     mask = make_holdout(m, rate=0.2, seed=20)
     model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
-    with pytest.raises(ValidationError):
-        predictive_check(model, m, mask, replications=5)
-    with pytest.raises(ValidationError):
-        predictive_check(model, m, mask, mc_samples=5)
-    with pytest.raises(ValidationError):
-        predictive_check(model, m, mask, method="median")
-    with pytest.raises(ValidationError):
-        predictive_check(model, m, mask, seed=-1)
-    with pytest.raises(ValidationError):
-        predictive_check(model, m, mask, seed=2**64)
     bare = HoldoutMask(np.zeros((50, 6), dtype=bool))
     with pytest.raises(ValidationError) as err:
         predictive_check(model, m, bare)
@@ -421,82 +409,113 @@ def test_patterns_match_numpy_unique_across_byte_boundaries():
         assert all(np.array_equal(a, b) for a, b in zip(groups, ref_groups)), d
 
 
-def unit_key(uid):
-    return int.from_bytes(hashlib.blake2b(uid.encode(), digest_size=8).digest(), "little")
+def imhof_sf(lam, q):
+    """P(sum_j lam_j X_j > q), the X_j iid chi-square(1), by Imhof's integral.
 
-
-def reference_check(model, m, mask, replications, mc_samples, seed, held_space=True):
-    """The predictive check as a unit-by-unit loop: (per-unit, mean, pooled).
-
-    held_space=True is the sampler `predictive_check` runs: a Philox
-    stream keyed on (seed, blake2b-8 of the unit id), S held means from
-    min(h, K) normals each, then R replicates from h normals each.
-    held_space=False is the sampler it replaced, kept as a distributional
-    oracle: a default_rng([seed, row]) stream, S posterior z in K
-    dimensions, then R replicate z and R*h replicate noises.
+    Imhof (Biometrika 1961): 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du,
+    theta(u) = sum_j arctan(lam_j u) / 2 - q u / 2 and
+    rho(u) = prod_j (1 + lam_j^2 u^2)^(1/4). Past u = 1 the sine of the
+    difference is split into cos- and sin-weighted Fourier integrals, which
+    quad evaluates on the infinite range by QAWF.
     """
+    lam = np.asarray(lam, dtype=float)
+
+    def phi(u):
+        return 0.5 * float(np.arctan(lam * u).sum())
+
+    def rho(u):
+        return float(np.prod((1.0 + (lam * u) ** 2) ** 0.25))
+
+    tight = {"epsabs": 1e-11, "limit": 500}
+    near = scipy.integrate.quad(
+        lambda u: math.sin(phi(u) - 0.5 * q * u) / (u * rho(u)), 0.0, 1.0, epsrel=1e-13, **tight
+    )[0]
+    far = [
+        scipy.integrate.quad(
+            lambda u, f=f: f(phi(u)) / (u * rho(u)), 1.0, np.inf, weight=w, wvar=0.5 * q, **tight
+        )[0]
+        for f, w in ((math.sin, "cos"), (math.cos, "sin"))
+    ]
+    return 0.5 + (near + far[0] - far[1]) / math.pi
+
+
+def oracle_sf(lam, q):
+    """The tail by scipy: chi2.sf when h = 1, Imhof's integral otherwise."""
+    if len(lam) == 1:
+        return float(scipy.stats.chi2.sf(q / lam[0], 1))
+    return imhof_sf(lam, q)
+
+
+def reference_check(model, m, mask):
+    """Per-unit check scores as a unit-by-unit loop on scipy linear algebra and oracles."""
     w, s2, k = model.loadings, model.noise_variance, model.k
-    sigma = math.sqrt(s2)
-    xc = m.values - model.mean
-    per_unit = np.empty(m.values.shape[0])
-    pooled_real, pooled_rep = 0.0, np.zeros(replications)
+    scores = []
     for i, hd in enumerate(mask.held):
         ob = ~hd
-        linv = np.linalg.inv(np.linalg.cholesky(w[ob].T @ w[ob] + s2 * np.eye(k)))
-        minv = linv.T @ linv
-        factor = sigma * linv.T  # F F' = s2 M^-1, with M = L L'
-        mean = xc[i, ob] @ w[ob] @ minv.T
-        wh, h = w[hd], int(hd.sum())
-        const = -0.5 * h * math.log(2.0 * math.pi * s2)
-        if held_space:
-            key = np.array([seed, unit_key(m.unit_ids[i])], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            g = wh @ factor  # W_H z = W_H m + G e
-            a = g.T if h >= k else np.linalg.qr(g.T, mode="r")  # A'A = GG'
-            b = np.linalg.cholesky(a.T @ a + s2 * np.eye(h)).T  # B'B = GG' + s2 I
-            nu = wh @ mean + rng.standard_normal((mc_samples, min(h, k))) @ a
-            a_rep = wh @ mean + rng.standard_normal((replications, h)) @ b
-        else:
-            rng = np.random.default_rng([seed, i])
-            nu = (mean + rng.standard_normal((mc_samples, k)) @ factor.T) @ wh.T
-            z_rep = mean + rng.standard_normal((replications, k)) @ factor.T
-            a_rep = z_rep @ wh.T + sigma * rng.standard_normal((replications, h))
-        nu_bar, nu_sq = nu.mean(axis=0), (nu * nu).mean(axis=0)
-
-        def t_stat(a):
-            return const - (a * a - 2.0 * a * nu_bar + nu_sq).sum(axis=-1) / (2.0 * s2)
-
-        t_real = t_stat(xc[i, hd])
-        t_rep = t_stat(a_rep)
-        per_unit[i] = np.mean(t_rep < t_real)
-        pooled_real += t_real
-        pooled_rep += t_rep
-    return per_unit, per_unit.mean(), np.mean(pooled_rep < pooled_real)
+        mg = w[ob].T @ w[ob] + s2 * np.eye(k)
+        mean = scipy.linalg.solve(mg, w[ob].T @ (m.values[i, ob] - model.mean[ob]))
+        resid = m.values[i, hd] - model.mean[hd] - w[hd] @ mean
+        cov = s2 * (w[hd] @ scipy.linalg.solve(mg, w[hd].T) + np.eye(int(hd.sum())))
+        scores.append(oracle_sf(scipy.linalg.eigvalsh(cov), float(resid @ resid)))
+    return np.array(scores)
 
 
-# Rows per check chunk of held count 1 that the chunking tests force, by
-# shrinking the check's draw budget to match.
-CHUNK_ROWS = 16
+def test_single_held_entry_scores_are_chi_square_tails():
+    # h = 1: the score is P(lam X > q), X ~ chi-square(1), in closed form.
+    m, _ = sample_ppca(300, W_TRUE, 0.3, seed=21)
+    mask = make_holdout(m, rate=0.2, seed=22)
+    assert np.all(mask.held.sum(axis=1) == 1)
+    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    res = predictive_check(model, m, mask)
+    np.testing.assert_allclose(res.per_unit_scores, reference_check(model, m, mask), rtol=1e-12)
 
 
-def chunk_budget(replications, mc_samples):
-    return 8 * (mc_samples + replications) * CHUNK_ROWS
+SPREADS = {
+    "h2": np.array([0.7, 1.9]),
+    "h6": np.random.default_rng(31).uniform(0.3, 2.0, 6),
+    "h12": np.random.default_rng(32).uniform(0.2, 3.0, 12),
+    "wide-spread": np.array([0.05, 0.4, 1.0, 6.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPREADS))
+def test_series_matches_imhof_and_brute_force(name):
+    lam = SPREADS[name]
+    qs = lam.sum() * np.array([0.1, 0.5, 1.0, 2.0, 3.0])
+    sf = ppca._chi2_mixture_sf(np.tile(lam, (qs.size, 1)), qs)
+    np.testing.assert_allclose(sf, [imhof_sf(lam, q) for q in qs], rtol=0, atol=1e-8)
+    draws = 10**6
+    rng = np.random.default_rng(33)
+    total = np.zeros(draws)
+    for lam_j in lam:
+        total += lam_j * rng.standard_normal(draws) ** 2
+    hits = (total[:, None] > qs).mean(axis=0)
+    se = np.sqrt(sf * (1.0 - sf) / draws)
+    assert np.all(np.abs(hits - sf) < 4.0 * se), (hits, sf)
+
+
+def test_series_order_and_a_zero_residual():
+    lam = np.array([0.3, 2.0, 0.9])
+    rows = np.stack([lam, lam[::-1], np.full(3, 0.9)])
+    sf = ppca._chi2_mixture_sf(rows, np.array([1.5, 1.5, 0.0]))
+    assert sf[0] == pytest.approx(sf[1], abs=1e-12)
+    assert sf[2] == 1.0
+
+
+def test_series_past_its_term_cap_is_a_numeric_error():
+    # an eigenvalue spread of 1e6 needs far more terms than the cap allows
+    with pytest.raises(NumericError) as err:
+        ppca._chi2_mixture_sf(np.array([[1e-6, 1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
+    assert "unconverged" in str(err.value)
 
 
 @st.composite
 def check_problems(draw):
-    """A PPCA model, data drawn from it and a mask mixing held counts h.
-
-    The first block of rows all hold out one column and outnumber a check
-    chunk of `chunk_budget`, so that h-group is scored in several chunks;
-    the rest hold out random columns, so several h share those chunks
-    across patterns.
-    """
+    """A PPCA model, data drawn from it and a mask mixing held counts h."""
     d = draw(st.integers(3, 9))
     k = draw(st.integers(1, d - 1))
     seed = draw(st.integers(0, 10_000))
-    ones = CHUNK_ROWS + 1 + seed % CHUNK_ROWS
-    n = draw(st.integers(ones + 2, ones + 3 * CHUNK_ROWS))
+    n = draw(st.integers(5, 40))
     rng = np.random.default_rng(seed)
     model = PpcaModel(
         loadings=rng.standard_normal((d, k)),
@@ -507,36 +526,23 @@ def check_problems(draw):
     )
     m, _ = sample_ppca(n, model.loadings, model.noise_variance, seed, mu=model.mean)
     held = rng.random((n, d)) < draw(st.sampled_from([0.2, 0.5]))
-    held[:ones] = False
-    held[np.arange(ones), rng.integers(0, d, ones)] = True
     held[-1, :2] = True  # at least one row with h >= 2
     empty = ~held.any(axis=1)
     held[empty, rng.integers(0, d, int(empty.sum()))] = True
     full = held.all(axis=1)
     held[full, rng.integers(0, d, int(full.sum()))] = False
-    return model, m, HoldoutMask(held), seed
+    return model, m, HoldoutMask(held)
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
-@given(check_problems(), st.sampled_from([(10, 12), (23, 10)]))
-def test_chunked_check_equals_unit_by_unit_loop(problem, sizes):
-    model, m, mask, seed = problem
-    replications, mc_samples = sizes
-    held_counts = mask.held.sum(axis=1)
-    assert np.unique(held_counts).size > 1
-    assert np.bincount(held_counts)[1] > CHUNK_ROWS
-    per_unit, mean_score, pooled_score = reference_check(
-        model, m, mask, replications, mc_samples, seed
+@given(check_problems())
+def test_check_equals_a_unit_by_unit_scipy_loop(problem):
+    model, m, mask = problem
+    res = predictive_check(model, m, mask)
+    np.testing.assert_allclose(
+        res.per_unit_scores, reference_check(model, m, mask), rtol=0, atol=1e-8
     )
-    budget = chunk_budget(replications, mc_samples)
-    with mock.patch.object(ppca, "_CHECK_CHUNK_BYTES", budget):
-        for method, expected in (("mean", mean_score), ("pooled", pooled_score)):
-            res = predictive_check(
-                model, m, mask, replications=replications, mc_samples=mc_samples,
-                seed=seed, method=method,
-            )
-            assert np.array_equal(res.per_unit_scores, per_unit)
-            assert res.score == expected
+    assert res.score == res.per_unit_scores.mean()
 
 
 def rows_of(m, mask, idx):
@@ -547,64 +553,17 @@ def rows_of(m, mask, idx):
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(check_problems(), st.data())
 def test_check_scores_follow_units_not_rows(problem, data):
-    model, m, mask, seed = problem
+    model, m, mask = problem
     n = m.n_units
     order = np.array(data.draw(st.permutations(range(n))))
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2))))
 
     def scores(matrix, held):
-        return predictive_check(
-            model, matrix, held, replications=10, mc_samples=10, seed=seed
-        ).per_unit_scores
+        return predictive_check(model, matrix, held).per_unit_scores
 
     full = scores(m, mask)
-    budget = chunk_budget(10, 10)
-    with mock.patch.object(ppca, "_CHECK_CHUNK_BYTES", budget):
-        assert np.array_equal(scores(*rows_of(m, mask, order)), full[order])
-        assert np.array_equal(scores(*rows_of(m, mask, subset)), full[subset])
-
-
-def test_held_space_sampler_matches_the_old_one_in_distribution():
-    # Both samplers are exact in distribution, so over many seeds each
-    # unit's mean score must agree; 30 units at |z| < 4 fail together by
-    # chance with probability about 0.2%. W_TRUE has K = 2, and the mask
-    # holds h = 1, 2 and 3 or more, so both of _held_factors' branches run.
-    rng = np.random.default_rng(12)
-    m, _ = sample_ppca(30, W_TRUE, 0.3, seed=13)
-    held = rng.random((30, 6)) < 0.4
-    held[~held.any(axis=1), 0] = True
-    held[held.all(axis=1), 1] = False
-    assert {1, 2, 3} <= set(held.sum(axis=1).tolist())
-    mask = HoldoutMask(held)
-    model = PpcaModel(
-        loadings=W_TRUE, mean=np.zeros(6), noise_variance=0.3, k=2, log_likelihood=0.0
-    )
-    seeds = range(200)
-    new = np.array(
-        [predictive_check(model, m, mask, 20, 20, seed=s).per_unit_scores for s in seeds]
-    )
-    old = np.array(
-        [reference_check(model, m, mask, 20, 20, s, held_space=False)[0] for s in seeds]
-    )
-    se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / len(seeds))
-    assert se.min() > 0
-    z = (new.mean(axis=0) - old.mean(axis=0)) / se
-    assert np.abs(z).max() < 4.0, z
-
-
-def test_check_streams_are_pinned():
-    # Any change to the per-unit streams or their draw order changes this digest.
-    rng = np.random.default_rng(2024)
-    m, _ = sample_ppca(40, W_TRUE, 0.3, seed=23)
-    held = rng.random((40, 6)) < 0.3
-    held[~held.any(axis=1), 0] = True
-    held[held.all(axis=1), 1] = False
-    model = PpcaModel(
-        loadings=W_TRUE, mean=np.zeros(6), noise_variance=0.3, k=2, log_likelihood=0.0
-    )
-    res = predictive_check(model, m, HoldoutMask(held), replications=20, mc_samples=20, seed=3)
-    digest = hashlib.sha256(res.per_unit_scores.tobytes()).hexdigest()
-    assert digest == "e5cdaf9c93597ed371837c59475934cc404c07653b57b4491115ae97997415a2"
+    assert np.array_equal(scores(*rows_of(m, mask, order)), full[order])
+    assert np.array_equal(scores(*rows_of(m, mask, subset)), full[subset])
 
 
 def plain_em(m, k, cfg, mask=None):
