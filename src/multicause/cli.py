@@ -363,8 +363,8 @@ def cmd_effects(args, out: str) -> int:
     _save_fit(args, out, m, mask, model)
     report = {
         "predictive_check": result,
-        "causal": causal.to_dict(),
-        "noncausal": noncausal.to_dict(),
+        "causal": causal,
+        "noncausal": noncausal,
         "em": _em_health(model),
         **prep,
     }
@@ -377,9 +377,9 @@ def cmd_effects(args, out: str) -> int:
         f"causal effect estimates on '{args.outcome}'",
         f"predictive check: score {result.score:.4f}"
         f" (threshold {result.threshold:g}) {verdict}",
-        render_regression_table(causal.report, include=shown),
+        render_regression_table(causal.regression, include=shown),
         "non-causal comparison",
-        render_regression_table(noncausal.report, include=shown),
+        render_regression_table(noncausal.regression, include=shown),
     )
     return 0
 

@@ -130,12 +130,6 @@ class Standardization:
     mean: np.ndarray
     scale: np.ndarray
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.scale
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.scale + self.mean
-
 
 @dataclass(eq=False)
 class HoldoutMask:
@@ -174,7 +168,6 @@ class HoldoutMask:
 
 @dataclass(eq=False)
 class OverlapReport:
-    row_pass: np.ndarray
     failing_rows: list[str]
     passed: bool
 
@@ -350,8 +343,7 @@ def standardize(m: CauseMatrix) -> tuple[CauseMatrix, Standardization]:
     if zero.size:
         names = [m.column_names[j] for j in zero]
         raise ValidationError(f"zero-variance column(s): {names}")
-    tf = Standardization(mean=mean, scale=scale)
-    return m.with_values(tf.apply(m.values)), tf
+    return m.with_values((m.values - mean) / scale), Standardization(mean=mean, scale=scale)
 
 
 def correlation_screen(
@@ -417,4 +409,4 @@ def check_overlap(m: CauseMatrix) -> OverlapReport:
     with np.errstate(invalid="ignore"):
         row_pass = np.any(m.values > 0.0, axis=1)
     failing = [m.unit_ids[i] for i in np.flatnonzero(~row_pass)]
-    return OverlapReport(row_pass=row_pass, failing_rows=failing, passed=not failing)
+    return OverlapReport(failing_rows=failing, passed=not failing)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .dataset import CauseMatrix, CovariateMatrix, OutcomeVector
 from .errors import RankDeficiencyError, ValidationError
-from .ppca import SurrogateConfounders
 from .tdist import t_quantile, t_two_sided_p
 
 CONDITION_LIMIT = 1e10
@@ -66,13 +65,7 @@ class CausalEffectEstimate:
     beta: np.ndarray  # cause coefficients, in column order
     gamma: np.ndarray  # surrogate coefficients (empty for non-causal fits)
     cause_names: list[str]
-    report: RegressionReport
-
-    def to_dict(self) -> dict:
-        """The fields as tables.canonical_json writes them, `report` as "regression"."""
-        doc = dict(vars(self))
-        doc["regression"] = doc.pop("report")
-        return doc
+    regression: RegressionReport
 
 
 def _as_vector(y) -> np.ndarray:
@@ -153,7 +146,7 @@ def ols_fit(design: np.ndarray, y, names: list[str] | None = None) -> Regression
 
 def outcome_design(
     a: CauseMatrix,
-    z: SurrogateConfounders | None,
+    z: np.ndarray | None,
     x: CovariateMatrix | None,
     *outcomes: np.ndarray,
     causes: list[str] | None = None,
@@ -161,10 +154,10 @@ def outcome_design(
     """[intercept | causes | surrogates | covariates], its names, kept z columns.
 
     The causes come in column order, or as the named `causes` in the order
-    given. Constant surrogate columns carry nothing and are dropped; the
-    rest keep their index in the name z{j+1}, which no cause or covariate
-    may take. The surrogates, covariates and each of `outcomes` must have
-    one row per unit.
+    given. The surrogates `z` are an N x K array. Constant surrogate columns
+    carry nothing and are dropped; the rest keep their index in the name
+    z{j+1}, which no cause or covariate may take. The surrogates,
+    covariates and each of `outcomes` must have one row per unit.
     """
     if a.has_missing:
         raise ValidationError("causes must be complete; impute first")
@@ -178,7 +171,9 @@ def outcome_design(
         blocks = [np.ones((n, 1)), a.values]
     kept: list[int] = []
     if z is not None:
-        zv = np.asarray(z.values, dtype=float)
+        zv = np.asarray(z, dtype=float)
+        if zv.ndim != 2:
+            raise ValidationError("surrogate confounders must be N x K")
         others = [*names[1:], *(x.column_names if x is not None else [])]
         clash = sorted(set(others) & {f"z{j + 1}" for j in range(zv.shape[1])})
         if clash:
@@ -203,19 +198,19 @@ def _estimate(a, z, y, x) -> CausalEffectEstimate:
     report = ols_fit(design, yv, names)
     coefs = report.coefficients()
     d = a.n_causes
-    gamma = np.zeros(0 if z is None else z.values.shape[1])
+    gamma = np.zeros(0 if z is None else np.shape(z)[1])
     gamma[kept] = coefs[1 + d : 1 + d + len(kept)]
     return CausalEffectEstimate(
         beta=coefs[1 : 1 + d],
         gamma=gamma,
         cause_names=list(a.column_names),
-        report=report,
+        regression=report,
     )
 
 
 def estimate_effects_causal(
     a: CauseMatrix,
-    z: SurrogateConfounders,
+    z: np.ndarray,
     y: OutcomeVector,
     x: CovariateMatrix | None = None,
 ) -> CausalEffectEstimate:
@@ -232,21 +227,9 @@ def estimate_effects_noncausal(
     return _estimate(a, None, y, x)
 
 
-def contrast(
-    estimate: CausalEffectEstimate, a_from: np.ndarray, a_to: np.ndarray
-) -> float:
-    """Expected outcome change moving the cause vector a_from -> a_to."""
-    a_from = np.asarray(a_from, dtype=float)
-    a_to = np.asarray(a_to, dtype=float)
-    d = estimate.beta.shape[0]
-    if a_from.shape != (d,) or a_to.shape != (d,):
-        raise ValidationError(f"contrast vectors must have length {d}")
-    return float(estimate.beta @ (a_to - a_from))
-
-
 def predictive_comparison(
     a: CauseMatrix,
-    z: SurrogateConfounders,
+    z: np.ndarray,
     y: OutcomeVector,
     x: CovariateMatrix | None = None,
     split: float = 0.2,

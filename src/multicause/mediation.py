@@ -21,7 +21,6 @@ import numpy as np
 from .dataset import CauseMatrix, CovariateMatrix, OutcomeVector
 from .errors import NumericError, ValidationError
 from .effects import RegressionReport, ols_fit, outcome_design
-from .ppca import SurrogateConfounders
 
 MEDIATOR_NAME = "mediator"
 
@@ -55,7 +54,7 @@ class MediationReport:
 
 def mediate(
     a: CauseMatrix,
-    z: SurrogateConfounders,
+    z: np.ndarray,
     r: OutcomeVector,
     y: OutcomeVector,
     x: CovariateMatrix | None = None,

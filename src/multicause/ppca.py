@@ -24,7 +24,8 @@ Everything here rests on the posterior of z given a row's observed block,
 which depends on the row only through its observation pattern g:
 precision M_g = W_g'W_g + s2 I, mean M_g^-1 W_g'(a_g - mu_g), covariance
 s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked call
-and serves the EM, the surrogates and the check.
+and serves the EM; `_posterior` forms the means from it once per call,
+for the surrogates and the check alike.
 
 The held-out predictive check is exact: under PPCA the posterior-averaged
 held-out log-likelihood and its predictive distribution have closed forms,
@@ -107,10 +108,6 @@ class PpcaModel:
     def n_causes(self) -> int:
         return self.loadings.shape[0]
 
-    def marginal_covariance(self) -> np.ndarray:
-        w = self.loadings
-        return w @ w.T + self.noise_variance * np.eye(w.shape[0])
-
     def to_dict(self) -> dict:
         return {
             "loadings": self.loadings,
@@ -132,28 +129,6 @@ class PpcaModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad model payload: {exc}") from None
-
-
-@dataclass(eq=False)
-class SurrogateConfounders:
-    """Posterior mean of z per unit.
-
-    posterior_covariance is K x K (shared across units) when no holdout
-    mask was given, or N x K x K when rows condition on the observed
-    subsets of a mask.
-    """
-
-    values: np.ndarray
-    posterior_covariance: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValidationError("surrogate confounders must be N x K")
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(eq=False)
@@ -390,31 +365,36 @@ def fit_ppca(
     )
 
 
-def posterior_mean_partial(
-    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask | None = None
-) -> SurrogateConfounders:
-    """E[z | a_obs] per unit, conditioning only on unmasked coordinates.
-
-    Without a mask every coordinate is conditioned on: E[z | a] =
-    M^-1 W'(a - mu) with M = W'W + s2 I, and the posterior covariance is
-    one K x K matrix shared by all units. With a mask it is N x K x K.
-    Rows with different holdout patterns get genuinely different linear
-    maps, so these surrogates are not a single linear function of the
-    causes (the full-posterior ones are, which would make a joint
-    regression on causes plus surrogates rank deficient).
-    """
-    _require_complete(m, "posterior_mean_partial")
+def _posterior(
+    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(observed, patterns, pattern index per row, stacked M_g^-1, E[z | a_obs])."""
+    _require_complete(m, "the posterior over z")
     n, d = m.values.shape
     if d != model.n_causes:
         raise ValidationError("matrix width disagrees with the model")
     observed = _observed(mask, n, d)
     pats, inverse, _ = _patterns(observed)
     minv, _ = _precisions(pats, model.loadings, model.noise_variance)
-    rows = minv[inverse]
     xc = np.where(observed, m.values - model.mean, 0.0)
-    values = np.einsum("nkl,nl->nk", rows, xc @ model.loadings)
-    cov = model.noise_variance * (minv[0] if mask is None else rows)
-    return SurrogateConfounders(values=values, posterior_covariance=cov)
+    means = np.einsum("nkl,nl->nk", minv[inverse], xc @ model.loadings)
+    return observed, pats, inverse, minv, means
+
+
+def posterior_mean_partial(
+    model: PpcaModel, m: CauseMatrix, mask: HoldoutMask | None = None
+) -> np.ndarray:
+    """E[z | a_obs] per unit (N, K), conditioning only on unmasked coordinates.
+
+    Without a mask every coordinate is conditioned on: E[z | a] =
+    M^-1 W'(a - mu) with M = W'W + s2 I. Rows with different holdout
+    patterns get genuinely different linear maps, so these surrogates are
+    not a single linear function of the causes (the full-posterior ones
+    are, which would make a joint regression on causes plus surrogates
+    rank deficient). Only the means are formed: the outcome regression
+    reads nothing else of the posterior.
+    """
+    return _posterior(model, m, mask)[-1]
 
 
 def _chi2_mixture_sf(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -488,23 +468,16 @@ def predictive_check(
     held count h. The check draws nothing: a unit's score depends only on
     its causes and its mask row, up to BLAS rounding in the posterior means.
     """
-    _require_complete(m, "predictive_check")
-    n, d = m.values.shape
-    if d != model.n_causes:
-        raise ValidationError("matrix width disagrees with the model")
-    observed = _observed(mask, n, d)
+    observed, pats, inverse, minv, means = _posterior(model, m, mask)
     if np.any(observed.all(axis=1)):
         raise ValidationError("every row needs at least one held-out entry")
 
     w, s2 = model.loadings, model.noise_variance
-    means = posterior_mean_partial(model, m, mask).values
     resid = np.where(observed, 0.0, m.values - model.mean - means @ w.T)
-    pats, inverse, _ = _patterns(observed)
-    minv, _ = _precisions(pats, w, s2)
     q = np.einsum("nd,nd->n", resid, resid)
     held = ~pats
     held_count = held.sum(axis=1)
-    per_unit = np.empty(n)
+    per_unit = np.empty(len(q))
     # bincount, not np.unique: unique on a numeric array imports numpy.ma,
     # which costs about 1 MB of peak RSS in a run that needs nothing else of it
     for h in np.flatnonzero(np.bincount(held_count)).tolist():

@@ -16,7 +16,6 @@ import numpy as np
 from .dataset import CauseMatrix, OutcomeVector
 from .errors import ValidationError
 from .effects import ols_fit, outcome_design
-from .ppca import SurrogateConfounders
 
 
 @dataclass
@@ -48,7 +47,7 @@ class SweepTable:
 def sweep(
     a: CauseMatrix,
     y: OutcomeVector,
-    z: SurrogateConfounders | None = None,
+    z: np.ndarray | None = None,
     order: list[str] | None = None,
     alpha: float = 0.05,
 ) -> SweepTable:

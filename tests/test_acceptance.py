@@ -210,8 +210,8 @@ def test_criterion_4_deconfounding_bias_reduction(capsys):
         causal_betas[seed] = causal.beta
         naive_betas[seed] = naive.beta
         for j in range(9):
-            row_c = causal.report.rows[1 + j]
-            row_n = naive.report.rows[1 + j]
+            row_c = causal.regression.rows[1 + j]
+            row_n = naive.regression.rows[1 + j]
             causal_cover[seed, j] = row_c.ci_low <= true_beta[j] <= row_c.ci_high
             naive_cover[seed, j] = row_n.ci_low <= true_beta[j] <= row_n.ci_high
     elapsed = time.perf_counter() - start
@@ -388,7 +388,7 @@ def test_criterion_8_report_fidelity(capsys):
     m, _, y, _ = generate(config_confounded(n_units=3000, seed=8))
     std_m, _ = standardize(m)
     naive = estimate_effects_noncausal(std_m, y)
-    gap = abs(naive.report.rows[0].mean - float(np.mean(y.values)))
+    gap = abs(naive.regression.rows[0].mean - float(np.mean(y.values)))
     intercept_ok = gap < 1e-10
 
     ok = golden_ok and schema_ok and intercept_ok

@@ -21,7 +21,6 @@ from multicause.effects import (
 )
 from multicause.errors import ValidationError
 from multicause.mediation import mediate
-from multicause.ppca import SurrogateConfounders
 from multicause.robustness import sweep
 
 
@@ -40,14 +39,13 @@ def design_problems(draw):
     a = CauseMatrix(raw[:, columns], [f"c{j}" for j in columns], [f"u{i}" for i in range(n)])
     z_vals = rng.standard_normal((n, len(constant)))
     z_vals[:, constant] = rng.standard_normal(len(constant))[constant]
-    z = SurrogateConfounders(z_vals, np.eye(len(constant)))
     x = None
     if n_cov:
         x = CovariateMatrix(rng.standard_normal((n, n_cov)), [f"w{j}" for j in range(n_cov)])
     r_vals = raw.sum(axis=1) + z_vals.sum(axis=1) + rng.standard_normal(n)
     y_vals = raw @ rng.standard_normal(pool) + 0.5 * r_vals + rng.standard_normal(n)
     order = [a.column_names[j] for j in draw(st.permutations(range(a.n_causes)))]
-    return a, z, x, OutcomeVector(r_vals), OutcomeVector(y_vals), order
+    return a, z_vals, x, OutcomeVector(r_vals), OutcomeVector(y_vals), order
 
 
 def by_hand(a, z, x, causes=None, with_z=True):
@@ -55,9 +53,9 @@ def by_hand(a, z, x, causes=None, with_z=True):
     cols = [np.ones(a.n_units)] + [a.values[:, a.column_names.index(c)] for c in causes]
     names = ["Intercept", *causes]
     if with_z:
-        for j in range(z.values.shape[1]):
-            if np.ptp(z.values[:, j]) > 0.0:
-                cols.append(z.values[:, j])
+        for j in range(z.shape[1]):
+            if np.ptp(z[:, j]) > 0.0:
+                cols.append(z[:, j])
                 names.append(f"z{j + 1}")
     if x is not None:
         cols += list(x.values.T)
@@ -74,8 +72,8 @@ def assert_same_fit(report, reference):
 
 def short(v, k=1):
     """The same input with its last k units dropped."""
-    if isinstance(v, SurrogateConfounders):
-        return SurrogateConfounders(v.values[:-k], v.posterior_covariance)
+    if isinstance(v, np.ndarray):
+        return v[:-k]
     if isinstance(v, CovariateMatrix):
         return CovariateMatrix(v.values[:-k], v.column_names)
     return OutcomeVector(v.values[:-k])
@@ -93,7 +91,7 @@ def test_builder_matches_the_hand_stacked_design(problem):
         expected, expected_names = by_hand(a, z, x, causes)
         assert names == expected_names
         assert np.array_equal(design, expected)
-        assert kept == [j for j in range(z.values.shape[1]) if np.ptp(z.values[:, j]) > 0]
+        assert kept == [j for j in range(z.shape[1]) if np.ptp(z[:, j]) > 0]
 
 
 @DESIGNS
@@ -104,13 +102,13 @@ def test_every_entry_point_fits_the_same_design(problem):
     naive, naive_names = by_hand(a, z, x, with_z=False)
 
     causal = estimate_effects_causal(a, z, y, x)
-    assert_same_fit(causal.report, ols_fit(full, y, full_names))
-    gamma = np.zeros(z.values.shape[1])
+    assert_same_fit(causal.regression, ols_fit(full, y, full_names))
+    gamma = np.zeros(z.shape[1])
     for j in range(gamma.size):
         if f"z{j + 1}" in full_names:
-            gamma[j] = causal.report.row(f"z{j + 1}").mean
+            gamma[j] = causal.regression.row(f"z{j + 1}").mean
     assert np.array_equal(causal.gamma, gamma)
-    assert_same_fit(estimate_effects_noncausal(a, y, x).report, ols_fit(naive, y, naive_names))
+    assert_same_fit(estimate_effects_noncausal(a, y, x).regression, ols_fit(naive, y, naive_names))
 
     comparison = predictive_comparison(a, z, y, x, seed=3)
     perm = np.random.default_rng(3).permutation(a.n_units)
@@ -159,3 +157,14 @@ def test_every_entry_point_rejects_a_short_input(problem):
             call(z, y, short(x))
     with pytest.raises(ValidationError):
         mediate(a, z, short(r), y, x)
+
+
+def test_a_surrogate_block_must_be_two_dimensional():
+    rng = np.random.default_rng(0)
+    a = CauseMatrix(rng.standard_normal((20, 2)), ["c0", "c1"], [f"u{i}" for i in range(20)])
+    y = OutcomeVector(rng.standard_normal(20))
+    for z in (rng.standard_normal(20), rng.standard_normal((20, 2, 1))):
+        with pytest.raises(ValidationError, match="N x K"):
+            outcome_design(a, z, None, y.values)
+        with pytest.raises(ValidationError, match="N x K"):
+            estimate_effects_causal(a, z, y)

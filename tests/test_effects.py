@@ -13,8 +13,6 @@ import scipy.stats
 
 from multicause.dataset import CauseMatrix, CovariateMatrix, OutcomeVector
 from multicause.effects import (
-    CausalEffectEstimate,
-    contrast,
     estimate_effects_causal,
     estimate_effects_noncausal,
     ols_fit,
@@ -22,7 +20,6 @@ from multicause.effects import (
     significance_tag,
 )
 from multicause.errors import RankDeficiencyError, ValidationError
-from multicause.ppca import SurrogateConfounders
 
 
 def matrix_from(vals):
@@ -31,13 +28,6 @@ def matrix_from(vals):
         np.asarray(vals, dtype=float),
         [f"c{j}" for j in range(d)],
         [f"u{i}" for i in range(n)],
-    )
-
-
-def surrogates(vals):
-    vals = np.asarray(vals, dtype=float)
-    return SurrogateConfounders(
-        values=vals, posterior_covariance=np.eye(vals.shape[1])
     )
 
 
@@ -146,13 +136,13 @@ def test_constant_surrogates_reduce_to_the_naive_fit():
     rng = np.random.default_rng(5)
     a = matrix_from(rng.standard_normal((120, 3)))
     y = OutcomeVector(a.values @ [1.0, -0.5, 0.2] + rng.standard_normal(120))
-    dead = surrogates(np.zeros((120, 2)))
+    dead = np.zeros((120, 2))
     causal = estimate_effects_causal(a, dead, y)
     naive = estimate_effects_noncausal(a, y)
     assert np.allclose(causal.beta, naive.beta, atol=1e-10)
     assert causal.gamma.shape == (2,)
     assert np.all(causal.gamma == 0.0)
-    assert [r.name for r in causal.report.rows] == ["Intercept", "c0", "c1", "c2"]
+    assert [r.name for r in causal.regression.rows] == ["Intercept", "c0", "c1", "c2"]
 
 
 def test_surrogate_adjustment_recovers_confounded_coefficients():
@@ -164,12 +154,12 @@ def test_surrogate_adjustment_recovers_confounded_coefficients():
     y_vals = a_vals @ theta + 3.0 * z[:, 0] + 0.1 * rng.standard_normal(n)
     a = matrix_from(a_vals)
     y = OutcomeVector(y_vals)
-    causal = estimate_effects_causal(a, surrogates(z), y)
+    causal = estimate_effects_causal(a, z, y)
     naive = estimate_effects_noncausal(a, y)
     assert np.allclose(causal.beta, theta, atol=0.05)
     assert abs(naive.beta[0] - theta[0]) > 0.5  # confounding really bites
     assert causal.gamma[0] == pytest.approx(3.0, abs=0.1)
-    assert causal.report.row("z1").significance == "5%"
+    assert causal.regression.row("z1").significance == "5%"
 
 
 def test_partially_constant_surrogate_block_keeps_indexing():
@@ -177,13 +167,13 @@ def test_partially_constant_surrogate_block_keeps_indexing():
     a = matrix_from(rng.standard_normal((100, 2)))
     z_vals = np.column_stack([np.full(100, 2.5), rng.standard_normal(100)])
     y = OutcomeVector(a.values @ [1.0, 1.0] + 0.4 * z_vals[:, 1])
-    est = estimate_effects_causal(a, surrogates(z_vals), y)
+    est = estimate_effects_causal(a, z_vals, y)
     assert est.gamma[0] == 0.0
     assert est.gamma[1] == pytest.approx(0.4, abs=1e-8)
     # the surviving column keeps its original position in the name
-    assert est.report.row("z2").mean == pytest.approx(0.4, abs=1e-8)
+    assert est.regression.row("z2").mean == pytest.approx(0.4, abs=1e-8)
     with pytest.raises(KeyError):
-        est.report.row("z1")
+        est.regression.row("z1")
 
 
 def test_covariates_are_appended_and_estimated():
@@ -193,7 +183,7 @@ def test_covariates_are_appended_and_estimated():
     y = OutcomeVector(a.values @ [0.5, -0.5] + 2.0 * w[:, 0])
     cov = CovariateMatrix(w, ["season"])
     est = estimate_effects_noncausal(a, y, x=cov)
-    assert est.report.row("season").mean == pytest.approx(2.0, abs=1e-8)
+    assert est.regression.row("season").mean == pytest.approx(2.0, abs=1e-8)
     assert est.beta == pytest.approx([0.5, -0.5], abs=1e-8)
 
 
@@ -201,7 +191,7 @@ def test_surrogate_names_may_not_clash_with_causes_or_covariates():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((50, 2))
     y = OutcomeVector(vals @ [1.0, -1.0] + rng.standard_normal(50))
-    z = surrogates(rng.standard_normal((50, 2)))
+    z = rng.standard_normal((50, 2))
     a = CauseMatrix(vals, ["z1", "b"], [f"u{i}" for i in range(50)])
     with pytest.raises(ValidationError, match=r"\['z1'\]"):
         estimate_effects_causal(a, z, y)
@@ -209,9 +199,9 @@ def test_surrogate_names_may_not_clash_with_causes_or_covariates():
     with pytest.raises(ValidationError, match=r"\['z2'\]"):
         estimate_effects_causal(matrix_from(vals), z, y, x=cov)
     # without surrogates the names are free, and z3 lies beyond K = 2
-    assert estimate_effects_noncausal(a, y).report.row("z1").mean == pytest.approx(1.0, abs=0.5)
+    assert estimate_effects_noncausal(a, y).regression.row("z1").mean == pytest.approx(1.0, abs=0.5)
     cov = CovariateMatrix(rng.standard_normal((50, 1)), ["z3"])
-    assert estimate_effects_causal(matrix_from(vals), z, y, x=cov).report.row("z3")
+    assert estimate_effects_causal(matrix_from(vals), z, y, x=cov).regression.row("z3")
 
 
 def test_missing_causes_are_rejected():
@@ -221,26 +211,7 @@ def test_missing_causes_are_rejected():
     with pytest.raises(ValidationError):
         estimate_effects_noncausal(m, y)
     with pytest.raises(ValidationError):
-        estimate_effects_causal(m, surrogates(np.zeros((3, 1))), y)
-
-
-def test_contrast_is_linear_in_the_move():
-    est = CausalEffectEstimate(
-        beta=np.array([1.0, -2.0, 0.5]),
-        gamma=np.empty(0),
-        cause_names=["a", "b", "c"],
-        report=None,
-    )
-    lo = np.zeros(3)
-    mid = np.array([1.0, 0.0, 0.0])
-    hi = np.array([1.0, 1.0, 2.0])
-    assert contrast(est, lo, hi) == pytest.approx(1.0 - 2.0 + 1.0)
-    assert contrast(est, lo, hi) == pytest.approx(
-        contrast(est, lo, mid) + contrast(est, mid, hi)
-    )
-    assert contrast(est, hi, lo) == -contrast(est, lo, hi)
-    with pytest.raises(ValidationError):
-        contrast(est, np.zeros(2), np.zeros(3))
+        estimate_effects_causal(m, np.zeros((3, 1)), y)
 
 
 def test_predictive_comparison_prefers_surrogates_under_confounding():
@@ -250,7 +221,7 @@ def test_predictive_comparison_prefers_surrogates_under_confounding():
     a_vals = 0.8 * z + 0.6 * rng.standard_normal((n, 3))
     y_vals = a_vals @ [1.0, 0.5, -1.0] + 2.5 * z[:, 0]
     out = predictive_comparison(
-        matrix_from(a_vals), surrogates(z), OutcomeVector(y_vals), split=0.25
+        matrix_from(a_vals), z, OutcomeVector(y_vals), split=0.25
     )
     assert out["causal"]["mse"] < 1e-20  # exact linear model, no noise
     assert out["noncausal"]["mse"] > 0.5
@@ -260,7 +231,7 @@ def test_predictive_comparison_prefers_surrogates_under_confounding():
 def test_predictive_comparison_validation():
     rng = np.random.default_rng(10)
     a = matrix_from(rng.standard_normal((30, 3)))
-    z = surrogates(rng.standard_normal((30, 2)))
+    z = rng.standard_normal((30, 2))
     y = OutcomeVector(rng.standard_normal(30))
     with pytest.raises(ValidationError):
         predictive_comparison(a, z, y, split=0.0)

@@ -14,7 +14,6 @@ from multicause.mediation import (
     STATUS_PARTIAL,
     mediate,
 )
-from multicause.ppca import SurrogateConfounders
 from multicause.synthetic import config_mediation, generate
 from multicause.tables import canonical_json
 
@@ -22,9 +21,7 @@ from multicause.tables import canonical_json
 def dead_surrogates(n):
     # constant surrogate columns are dropped inside the fit, leaving the
     # plain cause design; the scenario has no outcome confounding anyway
-    return SurrogateConfounders(
-        values=np.zeros((n, 1)), posterior_covariance=np.eye(1)
-    )
+    return np.zeros((n, 1))
 
 
 def matrix_from(vals):
@@ -86,10 +83,9 @@ def test_surrogate_block_is_part_of_every_step():
     a_vals = 0.8 * z + 0.5 * rng.standard_normal((n, 3))
     r_vals = a_vals @ [1.0, 0.5, -0.5] + 0.3 * rng.standard_normal(n)
     y_vals = 0.7 * r_vals + 2.0 * z[:, 0] + 0.3 * rng.standard_normal(n)
-    sur = SurrogateConfounders(values=z, posterior_covariance=np.eye(1))
     rep = mediate(
         matrix_from(a_vals),
-        sur,
+        z,
         OutcomeVector(r_vals, kind="rating"),
         OutcomeVector(y_vals),
     )

@@ -55,6 +55,13 @@ def sample_ppca(n, w, s2, seed, mu=None):
     return matrix_from(base + z @ w.T + noise), z
 
 
+def posterior_covariances(model, observed):
+    """s2 M_g^-1 for each row's observation pattern, from the kernel the fit uses."""
+    pats, inverse, _ = _patterns(observed)
+    minv, _ = ppca._precisions(pats, model.loadings, model.noise_variance)
+    return model.noise_variance * minv[inverse]
+
+
 W_TRUE = np.array(
     [
         [1.2, 0.0],
@@ -103,7 +110,8 @@ def test_fitted_covariance_matches_spectral_solution():
     s2 = evals[2:].mean()
     u = evecs[:, :2]
     cov_opt = u @ np.diag(evals[:2] - s2) @ u.T + s2 * np.eye(6)
-    assert np.allclose(model.marginal_covariance(), cov_opt, atol=1e-6)
+    cov_fit = model.loadings @ model.loadings.T + model.noise_variance * np.eye(6)
+    assert np.allclose(cov_fit, cov_opt, atol=1e-6)
     assert abs(model.noise_variance - s2) < 1e-6
 
 
@@ -116,14 +124,14 @@ def test_posterior_mean_formula_and_small_noise_limit():
         k=2,
         log_likelihood=0.0,
     )
-    sur = posterior_mean_partial(model, m)
+    z = posterior_mean_partial(model, m)
     xc = m.values - model.mean
     expected = scipy.linalg.solve(
         W_TRUE.T @ W_TRUE + 0.2 * np.eye(2), W_TRUE.T @ xc.T
     ).T
-    assert np.allclose(sur.values, expected, atol=1e-8)
+    assert np.allclose(z, expected, atol=1e-8)
     assert np.allclose(
-        sur.posterior_covariance,
+        posterior_covariances(model, np.ones((50, 6), dtype=bool))[0],
         0.2 * scipy.linalg.inv(W_TRUE.T @ W_TRUE + 0.2 * np.eye(2)),
         atol=1e-10,
     )
@@ -136,7 +144,7 @@ def test_posterior_mean_formula_and_small_noise_limit():
         log_likelihood=0.0,
     )
     proj = (np.linalg.pinv(W_TRUE) @ xc.T).T
-    assert np.allclose(posterior_mean_partial(tiny, m).values, proj, atol=1e-6)
+    assert np.allclose(posterior_mean_partial(tiny, m), proj, atol=1e-6)
 
 
 def test_posterior_mean_single_factor_hand_formula():
@@ -145,10 +153,10 @@ def test_posterior_mean_single_factor_hand_formula():
         loadings=w, mean=np.ones(3), noise_variance=0.5, k=1, log_likelihood=0.0
     )
     m = matrix_from([[3.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
-    sur = posterior_mean_partial(model, m)
+    z = posterior_mean_partial(model, m)
     # z = w'(a - mu) / (w'w + s2), with w'w = 6
-    assert sur.values[0, 0] == pytest.approx((2 * 2 + 1 * 1 - 1 * -1) / 6.5)
-    assert sur.values[1, 0] == pytest.approx(0.0, abs=1e-12)
+    assert z[0, 0] == pytest.approx((2 * 2 + 1 * 1 - 1 * -1) / 6.5)
+    assert z[1, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_posterior_with_nothing_held_matches_full():
@@ -157,27 +165,25 @@ def test_partial_posterior_with_nothing_held_matches_full():
     empty = HoldoutMask(np.zeros((80, 6), dtype=bool))
     full = posterior_mean_partial(model, m)
     part = posterior_mean_partial(model, m, empty)
-    assert np.allclose(part.values, full.values, atol=1e-12)
-    assert part.posterior_covariance.shape == (80, 2, 2)
-    assert np.allclose(part.posterior_covariance[17], full.posterior_covariance)
+    assert part.shape == (80, 2)
+    assert np.allclose(part, full, atol=1e-12)
 
 
 def test_partial_posterior_ignores_held_coordinates():
     m, _ = sample_ppca(60, W_TRUE, 0.3, seed=8)
     model = fit_ppca(m, 2, PpcaConfig(seed=0))
     mask = make_holdout(m, rate=0.34, seed=9)
-    sur = posterior_mean_partial(model, m, mask)
+    z = posterior_mean_partial(model, m, mask)
     poisoned = m.values.copy()
     poisoned[mask.held] = 1e6
-    sur2 = posterior_mean_partial(model, matrix_from(poisoned), mask)
-    assert np.array_equal(sur.values, sur2.values)
+    assert np.array_equal(z, posterior_mean_partial(model, matrix_from(poisoned), mask))
     # oracle for one row: condition on the observed block only
     i = 11
     obs = ~mask.held[i]
     wg = model.loadings[obs]
     mg = wg.T @ wg + model.noise_variance * np.eye(2)
     zi = scipy.linalg.solve(mg, wg.T @ (m.values[i, obs] - model.mean[obs]))
-    assert np.allclose(sur.values[i], zi, atol=1e-10)
+    assert np.allclose(z[i], zi, atol=1e-10)
 
 
 def test_shift_equivariance_of_the_fit():
@@ -244,6 +250,21 @@ def test_predictive_check_input_validation():
     with pytest.raises(ValidationError) as err:
         predictive_check(model, m, bare)
     assert "held-out" in str(err.value)
+
+
+def test_predictive_check_forms_one_posterior(monkeypatch):
+    # the check reads its means and M_g^-1 from one pass over the patterns
+    m, _ = sample_ppca(200, W_TRUE, 0.3, seed=15)
+    mask = make_holdout(m, rate=0.34, seed=16)
+    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    calls = []
+    for name in ("_patterns", "_precisions"):
+        kernel = getattr(ppca, name)
+        monkeypatch.setattr(
+            ppca, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args)
+        )
+    predictive_check(model, m, mask)
+    assert sorted(calls) == ["_patterns", "_precisions"]
 
 
 def test_fit_rejects_k_out_of_range_and_rank_deficiency():
@@ -382,14 +403,15 @@ def test_partial_posterior_matches_per_row_solve(problem):
         k=k,
         log_likelihood=0.0,
     )
-    sur = posterior_mean_partial(model, m, mask)
+    z = posterior_mean_partial(model, m, mask)
     w, s2 = model.loadings, model.noise_variance
-    for i, obs in enumerate(observed_of(m, mask)):
+    observed = observed_of(m, mask)
+    covs = posterior_covariances(model, observed)
+    for i, obs in enumerate(observed):
         mg = w[obs].T @ w[obs] + s2 * np.eye(k)
         zi = scipy.linalg.solve(mg, w[obs].T @ (m.values[i, obs] - model.mean[obs]))
-        np.testing.assert_allclose(sur.values[i], zi, rtol=1e-9, atol=1e-12)
-        cov = sur.posterior_covariance if mask is None else sur.posterior_covariance[i]
-        np.testing.assert_allclose(cov, s2 * scipy.linalg.inv(mg), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(z[i], zi, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(covs[i], s2 * scipy.linalg.inv(mg), rtol=1e-9, atol=1e-12)
 
 
 def test_patterns_match_numpy_unique_across_byte_boundaries():

@@ -133,7 +133,7 @@ def test_unconfounded_naive_regression_recovers_beta():
     m, _, y, truth = generate(cfg)
     est = estimate_effects_noncausal(m, y)
     err = est.beta - truth.true_beta
-    std = np.array([r.std for r in est.report.rows[1:10]])
+    std = np.array([r.std for r in est.regression.rows[1:10]])
     assert np.all(np.abs(err) < 3.0 * std)
 
 
