@@ -12,8 +12,8 @@ Subcommands:
   compare-predictive  held-out MSE/MAE of causal vs non-causal regression
 
 Every run writes manifest.json recording every parsed flag but --out
-(-k as `k_requested`), the resolved outcome kind and K, and a sha256
-hash; reports embed the hash so tables are traceable to exact configs.
+(-k as `k_requested`), the resolved K, and a sha256 hash; reports embed
+the hash so tables are traceable to exact configs.
 Outputs are deterministic given the manifest (no timestamps). Errors are
 labelled with the innermost package module that raised them.
 
@@ -34,12 +34,10 @@ from .dataset import (
     CauseMatrix,
     CovariateMatrix,
     HoldoutMask,
-    OutcomeVector,
     check_overlap,
     correlation_screen,
     load_csv,
     make_holdout,
-    read_header,
     standardize,
     write_csv,
 )
@@ -121,30 +119,11 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
 def _load(args):
     """Read the input CSV once; columns no flag names are causes.
 
-    A --mediator loads as one more covariate column. Resolves
-    --outcome-kind in place, so the manifest records the kind used.
+    A --mediator loads as one more covariate column.
     """
-    header = read_header(args.input)
-    covariates = _split(args.covariates)
-    ignore = _split(args.ignore)
     mediator = getattr(args, "mediator", None)
-    named = [("--outcome", args.outcome), ("--mediator", mediator)]
-    named += [("--covariates", c) for c in covariates] + [("--ignore", c) for c in ignore]
-    for flag, col in named:
-        if col and col not in header:
-            raise ValidationError(f"column '{col}' not present in the input header")
-        if col == args.id_column:
-            raise ValidationError(f"{flag} names the --id-column '{col}'")
-    # where flags name a column twice, the later role wins
-    roles = dict.fromkeys(ignore, "ignore")
-    roles.update(dict.fromkeys(covariates, "covariate"))
-    roles.update({args.id_column: "id", args.outcome: "outcome"})
-    if mediator:
-        roles[mediator] = "covariate"
-    schema = {col: roles.get(col, "cause") for col in header}
-    if not args.outcome_kind:
-        args.outcome_kind = args.outcome if args.outcome in DEFAULT_K else "custom"
-    return load_csv(args.input, schema, outcome_kind=args.outcome_kind)
+    covariates = _split(args.covariates) + ([mediator] if mediator else [])
+    return load_csv(args.input, args.outcome, covariates, args.id_column, _split(args.ignore))
 
 
 def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
@@ -185,8 +164,8 @@ def _surrogates(args, m: CauseMatrix):
     """
     args.k = args.k_requested
     if args.k is None:
-        # default per outcome kind, clamped below the cause count
-        args.k = min(DEFAULT_K[args.outcome_kind], m.n_causes - 1)
+        # default by outcome column name, clamped below the cause count
+        args.k = min(DEFAULT_K.get(args.outcome, DEFAULT_K["custom"]), m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
     model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
     _warn({"em": _em_health(model)})
@@ -392,7 +371,7 @@ def cmd_mediate(args, out: str) -> int:
     m, y, x, prep = _prepare(args)
     # the mediator was loaded as one more covariate; split it off
     j = x.column_names.index(args.mediator)
-    r = OutcomeVector(x.values[:, j])
+    r = x.values[:, j]
     rest = [i for i in range(len(x.column_names)) if i != j]
     x = CovariateMatrix(x.values[:, rest], [x.column_names[i] for i in rest]) if rest else None
     _, model, z = _surrogates(args, m)
@@ -471,7 +450,6 @@ _SYNTH = [
 ]
 _INPUT = [
     _flag("--input", required=True, help="input CSV path"),
-    _flag("--outcome-kind", choices=sorted(DEFAULT_K), default=None),
     _flag("--id-column", default="id", help="unit id column (default: id)"),
     _flag("--covariates", default="", help="comma-separated covariate columns"),
     _flag("--ignore", default="", help="comma-separated columns to drop"),

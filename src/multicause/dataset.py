@@ -1,35 +1,34 @@
 """Tabular data model used by the whole pipeline.
 
-Causes live in an N x D matrix with an explicit missingness mask
-(NaN in `values` at exactly the masked cells). Outcomes are per-unit
-vectors and never missing. All CSV input is RFC-4180, UTF-8, header
-required; empty string and "NA" denote missing cause entries, and every
-other cell must parse as a finite number (nan and inf are rejected).
+Causes live in an N x D matrix in which NaN marks exactly the unobserved
+cells; there is no separate mask, `missing` is read off the NaNs.
+Outcomes are plain 1-D float arrays, one entry per unit and never
+missing. All CSV input is RFC-4180, UTF-8, header required; empty string
+and "NA" denote missing cause entries, and every other cell must parse as
+a finite number (nan and inf are rejected).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 
 MISSING_TOKENS = ("", "NA")
-ROLES = ("cause", "outcome", "covariate", "id", "ignore")
-OUTCOME_KINDS = ("rating", "popularity", "custom")
 
 
 @dataclass(eq=False)
 class CauseMatrix:
-    """Per-unit cause scores; `missing` is True where the entry is unobserved."""
+    """Per-unit cause scores; NaN marks an unobserved entry."""
 
     values: np.ndarray
     column_names: list[str]
     unit_ids: list[str]
-    missing: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -48,19 +47,15 @@ class CauseMatrix:
             raise ValidationError("cause column names must be unique")
         if len(self.unit_ids) != n:
             raise ValidationError(f"{len(self.unit_ids)} unit ids for {n} rows")
-        if self.missing is None:
-            self.missing = np.isnan(self.values)
-        else:
-            self.missing = np.array(self.missing, dtype=bool)
-            if self.missing.shape != (n, d):
-                raise ValidationError("missingness mask shape mismatch")
-            if np.any(np.isnan(self.values) & ~self.missing):
-                raise ValidationError("NaN present outside the missingness mask")
-            self.values[self.missing] = np.nan
         fully_missing = np.flatnonzero(self.missing.all(axis=0))
         if fully_missing.size:
             names = [self.column_names[j] for j in fully_missing]
             raise ValidationError(f"column(s) entirely missing: {names}")
+
+    @property
+    def missing(self) -> np.ndarray:
+        """True where the entry is unobserved."""
+        return np.isnan(self.values)
 
     @property
     def n_units(self) -> int:
@@ -79,31 +74,10 @@ class CauseMatrix:
             self.values[:, indices].copy(),
             [self.column_names[j] for j in indices],
             list(self.unit_ids),
-            self.missing[:, indices].copy(),
         )
 
-    def with_values(self, values: np.ndarray, missing: np.ndarray | None = None) -> "CauseMatrix":
-        return CauseMatrix(values, list(self.column_names), list(self.unit_ids), missing)
-
-
-@dataclass(eq=False)
-class OutcomeVector:
-    """One outcome per unit; missing outcomes are rejected at load time."""
-
-    values: np.ndarray
-    kind: str = "custom"
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValidationError("outcome must be one-dimensional")
-        if np.isnan(self.values).any():
-            raise ValidationError("outcome contains missing values")
-        if self.kind not in OUTCOME_KINDS:
-            raise ValidationError(f"outcome kind must be one of {OUTCOME_KINDS}")
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
+    def with_values(self, values: np.ndarray) -> "CauseMatrix":
+        return CauseMatrix(values, list(self.column_names), list(self.unit_ids))
 
 
 @dataclass(eq=False)
@@ -189,39 +163,27 @@ def _parse_cell(text: str, row_line: int, column: str, allow_missing: bool) -> f
     return value
 
 
-def read_header(path: str) -> list[str]:
-    """Column names from the first line of a CSV file."""
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise ValidationError(f"cannot read '{path}': {exc.strerror}") from None
-    if not header:
-        raise ParseError("empty file", line=1)
-    return header
-
-
 def load_csv(
     path: str,
-    schema: dict[str, str],
-    outcome_kind: str = "custom",
-) -> tuple[CauseMatrix, OutcomeVector | None, CovariateMatrix | None]:
-    """Load a dataset; `schema` maps every CSV column to exactly one role.
+    outcome: str | None = None,
+    covariates: Sequence[str] = (),
+    id_column: str = "id",
+    ignore: Sequence[str] = (),
+) -> tuple[CauseMatrix, np.ndarray | None, CovariateMatrix | None]:
+    """Load a dataset; every column not named here is a cause.
 
-    Roles: cause, outcome, covariate, id, ignore. At most one id and one
-    outcome column; at least one cause column. Missing entries ("" or
-    "NA") are only legal in cause columns.
+    `id_column` holds the unit ids; a file without it gets row numbers.
+    Every other named column must be in the file, none may be the id
+    column, and at least one cause must remain. A column named twice takes
+    the later role in the order ignore, covariates, outcome. Missing
+    entries ("" or "NA") are only legal in cause columns.
     """
-    for col, role in schema.items():
-        if role not in ROLES:
-            raise ValidationError(f"unknown role '{role}' for column '{col}'")
-    for role in ("id", "outcome"):
-        n = sum(1 for r in schema.values() if r == role)
-        if n > 1:
-            raise ValidationError(f"more than one column assigned role '{role}'")
-    cause_cols = [c for c, r in schema.items() if r == "cause"]
-    if not cause_cols:
-        raise ValidationError("schema assigns no cause columns")
+    roles = dict.fromkeys(ignore, "ignore")
+    roles.update(dict.fromkeys(covariates, "covariate"))
+    if outcome is not None:
+        roles[outcome] = "outcome"
+    if id_column in roles:
+        raise ValidationError(f"the id column '{id_column}' cannot take another role")
 
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -237,22 +199,20 @@ def load_csv(
             raise ParseError(str(exc), line=1) from None
         if len(set(header)) != len(header):
             raise ParseError("duplicate column names in header", line=1)
-        missing_from_schema = [c for c in header if c not in schema]
-        if missing_from_schema:
-            raise ValidationError(f"columns not covered by schema: {missing_from_schema}")
-        missing_from_file = [c for c in schema if c not in header]
-        if missing_from_file:
-            raise ValidationError(f"schema columns absent from file: {missing_from_file}")
-
-        # Column order in the result follows the file, not the schema dict.
-        cause_idx = [i for i, c in enumerate(header) if schema[c] == "cause"]
-        cov_idx = [i for i, c in enumerate(header) if schema[c] == "covariate"]
-        outcome_idx = next((i for i, c in enumerate(header) if schema[c] == "outcome"), None)
-        id_idx = next((i for i, c in enumerate(header) if schema[c] == "id"), None)
+        absent = [c for c in roles if c not in header]
+        if absent:
+            raise ValidationError(f"column(s) {absent} not present in the input header")
+        # column order in the result follows the file
+        cause_idx = [i for i, c in enumerate(header) if c != id_column and c not in roles]
+        if not cause_idx:
+            raise ValidationError("no cause columns remain once the named columns are set aside")
+        cov_idx = [i for i, c in enumerate(header) if roles.get(c) == "covariate"]
+        outcome_idx = None if outcome is None else header.index(outcome)
+        id_idx = header.index(id_column) if id_column in header else None
 
         causes: list[list[float]] = []
         outcomes: list[float] = []
-        covariates: list[list[float]] = []
+        cov_rows: list[list[float]] = []
         unit_ids: list[str] = []
         seen_ids: set[str] = set()
         try:
@@ -262,15 +222,11 @@ def load_csv(
                     raise ParseError(
                         f"expected {len(header)} fields, got {len(row)}", line=line
                     )
-                causes.append(
-                    [_parse_cell(row[i], line, header[i], True) for i in cause_idx]
-                )
+                causes.append([_parse_cell(row[i], line, header[i], True) for i in cause_idx])
                 if outcome_idx is not None:
-                    outcomes.append(
-                        _parse_cell(row[outcome_idx], line, header[outcome_idx], False)
-                    )
+                    outcomes.append(_parse_cell(row[outcome_idx], line, outcome, False))
                 if cov_idx:
-                    covariates.append(
+                    cov_rows.append(
                         [_parse_cell(row[i], line, header[i], False) for i in cov_idx]
                     )
                 uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
@@ -283,28 +239,16 @@ def load_csv(
 
     if len(causes) < 2:
         raise ValidationError(f"need at least 2 data rows, got {len(causes)}")
-    matrix = CauseMatrix(
-        np.array(causes, dtype=float),
-        [header[i] for i in cause_idx],
-        unit_ids,
-    )
-    outcome = (
-        OutcomeVector(np.array(outcomes), kind=outcome_kind)
-        if outcome_idx is not None
-        else None
-    )
-    covars = (
-        CovariateMatrix(np.array(covariates), [header[i] for i in cov_idx])
-        if cov_idx
-        else None
-    )
-    return matrix, outcome, covars
+    matrix = CauseMatrix(np.array(causes, dtype=float), [header[i] for i in cause_idx], unit_ids)
+    y = np.array(outcomes) if outcome_idx is not None else None
+    x = CovariateMatrix(np.array(cov_rows), [header[i] for i in cov_idx]) if cov_idx else None
+    return matrix, y, x
 
 
 def write_csv(
     path: str,
     m: CauseMatrix,
-    outcomes: dict[str, OutcomeVector] | None = None,
+    outcomes: dict[str, np.ndarray] | None = None,
     covariates: CovariateMatrix | None = None,
     id_column: str = "id",
 ) -> None:
@@ -321,7 +265,7 @@ def write_csv(
         header += list(covariates.column_names)
     if len(set(header)) != len(header):
         raise ValidationError("column name collision in output schema")
-    columns = [m.values, *(vec.values for vec in outcomes.values())]
+    columns = [m.values, *outcomes.values()]
     if covariates is not None:
         columns.append(covariates.values)
     with open(path, "w", encoding="utf-8", newline="") as handle:

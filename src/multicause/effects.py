@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CauseMatrix, CovariateMatrix, OutcomeVector
+from .dataset import CauseMatrix, CovariateMatrix
 from .errors import RankDeficiencyError, ValidationError
 from .tdist import t_quantile, t_two_sided_p
 
@@ -69,9 +69,12 @@ class CausalEffectEstimate:
 
 
 def _as_vector(y) -> np.ndarray:
-    values = np.asarray(getattr(y, "values", y), dtype=float)
+    """An outcome as a 1-D float array; every entry must be finite."""
+    values = np.asarray(y, dtype=float)
     if values.ndim != 1:
         raise ValidationError("outcome must be one-dimensional")
+    if not np.isfinite(values).all():
+        raise ValidationError("outcome contains missing or non-finite values")
     return values
 
 
@@ -211,7 +214,7 @@ def _estimate(a, z, y, x) -> CausalEffectEstimate:
 def estimate_effects_causal(
     a: CauseMatrix,
     z: np.ndarray,
-    y: OutcomeVector,
+    y: np.ndarray,
     x: CovariateMatrix | None = None,
 ) -> CausalEffectEstimate:
     """Regress the outcome on [intercept | causes | surrogates | covariates]."""
@@ -220,7 +223,7 @@ def estimate_effects_causal(
 
 def estimate_effects_noncausal(
     a: CauseMatrix,
-    y: OutcomeVector,
+    y: np.ndarray,
     x: CovariateMatrix | None = None,
 ) -> CausalEffectEstimate:
     """Same regression without the surrogate block (the naive estimator)."""
@@ -230,7 +233,7 @@ def estimate_effects_noncausal(
 def predictive_comparison(
     a: CauseMatrix,
     z: np.ndarray,
-    y: OutcomeVector,
+    y: np.ndarray,
     x: CovariateMatrix | None = None,
     split: float = 0.2,
     seed: int = 0,

@@ -44,7 +44,7 @@ _GRAM_RCOND = 1e-6
 @dataclass
 class MiceConfig:
     iterations: int = 10
-    convergence_tol: float = 1e-6
+    convergence_tol: float = 1e-6  # on a sweep's largest change, in column sds
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -97,7 +97,7 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
     targets = [j for j in range(d) if miss[:, j].any()]
     if not targets:
         return ImputationResult(
-            matrix=m.with_values(m.values.copy(), np.zeros_like(miss)),
+            matrix=m.with_values(m.values.copy()),
             sweeps=0,
             converged=True,
             max_change=0.0,
@@ -116,7 +116,7 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
     converged = False
     for _ in range(cfg.iterations):
         sweeps += 1
-        max_change = 0.0
+        max_change = max_dz = 0.0
         for j, rows, kept, kept_block in fits:
             c = j + 1
             block = x1[rows]
@@ -129,18 +129,20 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
                 fallback.add(m.column_names[j])
             else:
                 fill = block[:, kept] @ beta
-            change = col_sd[j] * float(np.max(np.abs(fill - block[:, c])))
-            max_change = max(max_change, change)
+            dz = float(np.max(np.abs(fill - block[:, c])))
+            max_dz = max(max_dz, dz)
+            max_change = max(max_change, col_sd[j] * dz)
             x1[rows, c] = fill
             gram[:, c] = gram[c, :] = x1.T @ x1[:, c]
-        if max_change < cfg.convergence_tol:
+        # the stop rule is scale-free: it reads the change in column sds
+        if max_dz < cfg.convergence_tol:
             converged = True
             break
 
     x = m.values.copy()
     for j, rows, _, _ in fits:
         x[rows, j] = col_means[j] + col_sd[j] * z[rows, j]
-    out = m.with_values(x, np.zeros_like(miss))
+    out = m.with_values(x)
     # paranoia: the observed cells must be bitwise identical to the input
     assert np.array_equal(out.values[~miss], m.values[~miss])
     return ImputationResult(

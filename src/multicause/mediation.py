@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CauseMatrix, CovariateMatrix, OutcomeVector
+from .dataset import CauseMatrix, CovariateMatrix
 from .errors import NumericError, ValidationError
-from .effects import RegressionReport, ols_fit, outcome_design
+from .effects import RegressionReport, _as_vector, ols_fit, outcome_design
 
 MEDIATOR_NAME = "mediator"
 
@@ -55,14 +55,16 @@ class MediationReport:
 def mediate(
     a: CauseMatrix,
     z: np.ndarray,
-    r: OutcomeVector,
-    y: OutcomeVector,
+    r: np.ndarray,
+    y: np.ndarray,
     x: CovariateMatrix | None = None,
     alpha: float = 0.05,
 ) -> MediationReport:
-    """Test whether the causes act on `y` through the mediator `r`."""
-    rv = np.asarray(r.values, dtype=float)
-    yv = np.asarray(y.values, dtype=float)
+    """Test whether the causes act on `y` through `r`, each step at level `alpha` in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    rv = _as_vector(r)
+    yv = _as_vector(y)
     design, base_names, _ = outcome_design(a, z, x, rv, yv)
     if np.array_equal(rv, yv):
         raise ValidationError("mediator and outcome are the identical vector")

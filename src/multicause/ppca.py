@@ -47,7 +47,8 @@ from .errors import NumericError, ValidationError
 
 _LN_2PI = math.log(2.0 * math.pi)
 
-# fit_ppca latent dimension defaults by outcome kind
+# the default latent dimension by outcome column name; any other outcome, or
+# none, takes the "custom" entry
 DEFAULT_K = {"rating": 10, "popularity": 5, "custom": 5}
 
 # Ruben's series in the predictive check stops, unit by unit, once the
@@ -467,7 +468,11 @@ def predictive_check(
     eigenvalues come from one stacked `eigvalsh` over the patterns of each
     held count h. The check draws nothing: a unit's score depends only on
     its causes and its mask row, up to BLAS rounding in the posterior means.
+    The model passes when the score exceeds `threshold`, which must lie in
+    [0, 1).
     """
+    if not 0.0 <= threshold < 1.0:
+        raise ValidationError(f"check threshold must lie in [0, 1), got {threshold}")
     observed, pats, inverse, minv, means = _posterior(model, m, mask)
     if np.any(observed.all(axis=1)):
         raise ValidationError("every row needs at least one held-out entry")

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CauseMatrix, OutcomeVector
+from .dataset import CauseMatrix
 from .errors import ValidationError
-from .effects import ols_fit, outcome_design
+from .effects import _as_vector, ols_fit, outcome_design
 
 
 @dataclass
@@ -46,13 +46,15 @@ class SweepTable:
 
 def sweep(
     a: CauseMatrix,
-    y: OutcomeVector,
+    y: np.ndarray,
     z: np.ndarray | None = None,
     order: list[str] | None = None,
     alpha: float = 0.05,
 ) -> SweepTable:
-    """Fit [intercept | first t causes | surrogates?] for t = 1..D."""
-    yv = np.asarray(y.values, dtype=float)
+    """Fit [intercept | first t causes | surrogates?] for t = 1..D, at level `alpha` in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    yv = _as_vector(y)
     if order is None:
         order = list(a.column_names)
     if sorted(order) != sorted(a.column_names):

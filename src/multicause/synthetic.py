@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CauseMatrix, OutcomeVector
+from .dataset import CauseMatrix
 from .errors import ValidationError
 
 ASPECT_NAMES = [
@@ -106,7 +106,6 @@ class SyntheticTruth:
     missing_mask: np.ndarray  # (N, D) True where hidden
     mediator_theta: np.ndarray | None = None
     mediator_lambda: float | None = None
-    mediator_values: np.ndarray | None = None
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -120,8 +119,8 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 def generate(
     cfg: SyntheticConfig,
-) -> tuple[CauseMatrix, OutcomeVector | None, OutcomeVector, SyntheticTruth]:
-    """Draw one dataset; returns (causes, mediator outcome or None, outcome, truth)."""
+) -> tuple[CauseMatrix, np.ndarray | None, np.ndarray, SyntheticTruth]:
+    """Draw one dataset: (causes, the mediator `rating` or None, the outcome, truth)."""
     rng = np.random.default_rng(cfg.seed)
     n, d, k = cfg.n_units, cfg.n_causes, cfg.latent_dim
 
@@ -136,14 +135,12 @@ def generate(
         a = a + shift
 
     rating = None
-    r_values = None
     if cfg.mediator_theta is not None:
-        r_values = a @ cfg.mediator_theta + cfg.noise_sd_mediator * rng.standard_normal(n)
-        rating = OutcomeVector(r_values, kind="rating")
+        rating = a @ cfg.mediator_theta + cfg.noise_sd_mediator * rng.standard_normal(n)
 
     y = a @ cfg.true_beta + z @ cfg.outcome_gamma
-    if r_values is not None:
-        y = y + cfg.mediator_lambda * r_values
+    if rating is not None:
+        y = y + cfg.mediator_lambda * rating
     y = y + cfg.noise_sd_outcome * rng.standard_normal(n)
 
     missing = np.zeros((n, d), dtype=bool)
@@ -170,9 +167,7 @@ def generate(
         values,
         list(cfg.column_names),
         [f"u{str(i).zfill(width)}" for i in range(n)],
-        missing,
     )
-    popularity = OutcomeVector(y, kind="popularity")
     truth = SyntheticTruth(
         z=z,
         true_beta=cfg.true_beta.copy(),
@@ -182,9 +177,8 @@ def generate(
         missing_mask=missing,
         mediator_theta=None if cfg.mediator_theta is None else cfg.mediator_theta.copy(),
         mediator_lambda=cfg.mediator_lambda,
-        mediator_values=r_values,
     )
-    return matrix, rating, popularity, truth
+    return matrix, rating, y, truth
 
 
 # ---------------------------------------------------------------------------

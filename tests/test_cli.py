@@ -672,7 +672,7 @@ def test_mediator_cannot_be_the_id_column(mediation_data, tmp_path, capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error [cli] --mediator names the --id-column 'id'")
+    assert err.startswith("error [dataset] the id column 'id' cannot take another role")
 
 
 def test_robustness_rejects_covariates(mediation_data, tmp_path, capsys):
@@ -790,6 +790,42 @@ CONTRACT_RUNS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, label",
+    [
+        ("mediate", "--alpha", 2, "mediation"),
+        ("mediate", "--alpha", 0, "mediation"),
+        ("mediate", "--alpha", -0.5, "mediation"),
+        ("robustness", "--alpha", 1, "robustness"),
+        ("robustness", "--alpha", "nan", "robustness"),
+        ("effects", "--check-threshold", -1, "ppca"),
+        ("effects", "--check-threshold", "nan", "ppca"),
+        ("check", "--check-threshold", 1, "ppca"),
+    ],
+)
+def test_probability_flags_outside_their_range_are_rejected(
+    command, flag, value, label, flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    # an alpha outside (0, 1) or a check threshold outside [0, 1) would
+    # report every cause alike or turn the gate off; both are input errors
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir), flag, value]
+    assert run(*argv, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{label}] ") and "must lie" in err
+
+
+@pytest.mark.parametrize("outcome, k", [("popularity", 5), ("rating", 8), (None, 5)])
+def test_default_k_follows_the_outcome_column_name(outcome, k, sparse_data, tmp_path):
+    data = tmp_path / "data.csv"
+    text = (sparse_data / "data.csv").read_text()
+    data.write_text(text.replace(",popularity\n", ",rating\n", 1) if outcome == "rating" else text)
+    flags = ["--outcome", outcome] if outcome else ["--ignore", "popularity"]
+    argv = ["fit-ppca", "--input", data, *flags, "--corr-threshold", 1.0, "--seed", 0]
+    assert run(*argv, "--out", tmp_path) == 0
+    parameters = read_json(tmp_path, "manifest.json")["parameters"]
+    assert parameters["k_requested"] is None and parameters["k"] == k
+
+
 def test_contract_runs_cover_every_command():
     assert {command for command, _, _ in CONTRACT_RUNS} == set(COMMANDS)
 
@@ -804,8 +840,6 @@ def test_manifest_records_every_flag(
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
     assert set(parameters) == dests | ({"k"} if resolves_k else set())
-    if "outcome_kind" in dests:
-        assert parameters["outcome_kind"] == "popularity"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

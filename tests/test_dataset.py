@@ -7,7 +7,6 @@ from multicause.dataset import (
     CauseMatrix,
     CovariateMatrix,
     HoldoutMask,
-    OutcomeVector,
     check_overlap,
     correlation_screen,
     load_csv,
@@ -16,8 +15,6 @@ from multicause.dataset import (
     write_csv,
 )
 from multicause.errors import ParseError, ValidationError
-
-SCHEMA = {"id": "id", "a": "cause", "b": "cause", "y": "outcome"}
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -28,19 +25,19 @@ def write(tmp_path, text, name="data.csv"):
 
 def test_load_basic(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1.5,2.0,3.0\nu2,0.5,NA,4.0\nu3,,1.0,5.0\n")
-    m, y, x = load_csv(path, SCHEMA)
+    m, y, x = load_csv(path, outcome="y")
     assert m.n_units == 3 and m.n_causes == 2
     assert m.unit_ids == ["u1", "u2", "u3"]
     assert np.isnan(m.values[1, 1]) and np.isnan(m.values[2, 0])
     assert m.missing[1, 1] and m.missing[2, 0] and m.missing.sum() == 2
-    assert y.values.tolist() == [3.0, 4.0, 5.0]
+    assert y.tolist() == [3.0, 4.0, 5.0]
     assert x is None
 
 
 def test_load_reports_offending_line(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1.0,2.0,3.0\nu2,oops,2.0,3.0\n")
     with pytest.raises(ParseError) as err:
-        load_csv(path, SCHEMA)
+        load_csv(path, outcome="y")
     assert "line 3" in str(err.value)
 
 
@@ -50,12 +47,11 @@ def test_load_reports_offending_line(tmp_path):
 def test_load_rejects_non_finite_cells(tmp_path, token, column):
     # only "" and "NA" mean missing; a non-finite number is a malformed cell
     # in every column, cause, outcome or covariate alike
-    schema = {**SCHEMA, "w": "covariate"}
     row = {"id": "u2", "a": "1.0", "b": "2.0", "y": "3.0", "w": "0.5"}
     row[column] = token
     text = "id,a,b,y,w\nu1,1.0,2.0,3.0,0.5\n" + ",".join(row.values()) + "\n"
     with pytest.raises(ParseError) as err:
-        load_csv(write(tmp_path, text), schema)
+        load_csv(write(tmp_path, text), outcome="y", covariates=["w"])
     assert err.value.line == 3
     assert "line 3" in str(err.value) and f"'{column}'" in str(err.value)
     assert "is not a finite number" in str(err.value)
@@ -63,32 +59,51 @@ def test_load_rejects_non_finite_cells(tmp_path, token, column):
 def test_load_rejects_missing_outcome(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1.0,2.0,\nu2,1.0,2.0,3.0\n")
     with pytest.raises(ValidationError) as err:
-        load_csv(path, SCHEMA)
+        load_csv(path, outcome="y")
     assert "line 2" in str(err.value) and "'y'" in str(err.value)
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1,2,3\nu1,4,5,6\n")
     with pytest.raises(ValidationError) as err:
-        load_csv(path, SCHEMA)
+        load_csv(path, outcome="y")
     assert "duplicate unit id" in str(err.value)
 
 
 def test_load_rejects_ragged_row(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1,2,3\nu2,4,5\n")
     with pytest.raises(ParseError) as err:
-        load_csv(path, SCHEMA)
+        load_csv(path, outcome="y")
     assert "expected 4 fields" in str(err.value)
 
 
 def test_load_schema_mismatches(tmp_path):
     path = write(tmp_path, "id,a,b,y\nu1,1,2,3\nu2,4,5,6\n")
-    with pytest.raises(ValidationError):
-        load_csv(path, {"id": "id", "a": "cause", "b": "cause"})  # y uncovered
-    with pytest.raises(ValidationError):
-        load_csv(path, dict(SCHEMA, extra="cause"))
-    with pytest.raises(ValidationError):
-        load_csv(path, dict(SCHEMA, a="nonsense"))
+    # every named column must be in the file
+    for named in ({"outcome": "extra"}, {"covariates": ["extra"]}, {"ignore": ["extra"]}):
+        with pytest.raises(ValidationError, match="not present"):
+            load_csv(path, **named)
+    # no named column may be the id column
+    for named in ({"outcome": "id"}, {"covariates": ["id"]}, {"ignore": ["id"]}):
+        with pytest.raises(ValidationError, match="id column"):
+            load_csv(path, **named)
+    # at least one cause must remain
+    with pytest.raises(ValidationError, match="no cause columns"):
+        load_csv(path, outcome="y", ignore=["a", "b"])
+
+
+def test_load_roles_follow_the_flags(tmp_path):
+    path = write(tmp_path, "id,a,b,y\nu1,1,2,3\nu2,4,5,6\n")
+    # unnamed columns are causes; the id column is none of them
+    m, y, x = load_csv(path)
+    assert m.column_names == ["a", "b", "y"] and y is None and x is None
+    # a column named twice takes the later role: ignore, covariates, outcome
+    m, y, x = load_csv(path, outcome="y", covariates=["y", "b"], ignore=["b"])
+    assert m.column_names == ["a"] and x.column_names == ["b"]
+    assert y.tolist() == [3.0, 6.0]
+    # a file without the id column numbers its rows
+    m, _, _ = load_csv(path, id_column="uid", ignore=["id"])
+    assert m.unit_ids == ["0", "1"] and m.column_names == ["a", "b", "y"]
 
 
 def test_roundtrip_is_bit_exact(tmp_path):
@@ -96,21 +111,19 @@ def test_roundtrip_is_bit_exact(tmp_path):
     vals = rng.standard_normal((20, 3)) * 1e3
     miss = rng.random((20, 3)) < 0.2
     miss[:, 0] = False  # keep one column complete
-    m = CauseMatrix(vals.copy(), ["a", "b", "c"], [f"u{i}" for i in range(20)], miss)
-    y = OutcomeVector(rng.standard_normal(20), kind="popularity")
+    m = CauseMatrix(np.where(miss, np.nan, vals), ["a", "b", "c"], [f"u{i}" for i in range(20)])
+    y = rng.standard_normal(20)
     x = CovariateMatrix(rng.standard_normal((20, 2)) / 3, ["w", "v"])
     path = str(tmp_path / "out.csv")
     write_csv(path, m, outcomes={"popularity": y}, covariates=x)
-    schema = {"id": "id", "a": "cause", "b": "cause", "c": "cause", "popularity": "outcome"}
-    schema.update(w="covariate", v="covariate")
-    m2, y2, x2 = load_csv(path, schema, outcome_kind="popularity")
-    assert np.array_equal(m.missing, m2.missing)
+    m2, y2, x2 = load_csv(path, "popularity", ["w", "v"])
+    assert np.array_equal(m.missing, m2.missing) and m.missing.sum() == miss.sum()
     keep = ~m.missing
     assert np.array_equal(m.values[keep], m2.values[keep])  # repr round-trip
-    assert np.array_equal(y.values, y2.values)
+    assert np.array_equal(y, y2)
     assert np.array_equal(x.values, x2.values)
     # every block must have one row per unit
-    short = OutcomeVector(y.values[:19])
+    short = y[:19]
     with pytest.raises(ValidationError, match="outcome 'popularity'"):
         write_csv(path, m, outcomes={"popularity": short})
     tall = CovariateMatrix(np.vstack([x.values, x.values[:1]]), ["w", "v"])
@@ -123,14 +136,6 @@ def test_cause_matrix_validation():
         CauseMatrix(np.zeros((1, 2)), ["a", "b"], ["u1"])  # one unit
     with pytest.raises(ValidationError):
         CauseMatrix(np.zeros((3, 2)), ["a", "a"], list("xyz"))  # dup names
-    with pytest.raises(ValidationError):
-        # NaN outside the declared mask
-        CauseMatrix(
-            np.array([[1.0, np.nan], [1.0, 2.0]]),
-            ["a", "b"],
-            ["u1", "u2"],
-            np.zeros((2, 2), dtype=bool),
-        )
     with pytest.raises(ValidationError) as err:
         CauseMatrix(
             np.array([[1.0, np.nan], [1.0, np.nan]]),
@@ -148,6 +153,19 @@ def test_standardize_unit_variance():
     assert np.allclose(out.values.std(axis=0, ddof=1), 1.0, atol=1e-12)
     # the recorded mean and scale undo the transform
     assert np.allclose(out.values * tf.scale + tf.mean, m.values, atol=1e-12)
+
+
+def test_standardize_and_screen_return_c_ordered_values():
+    # the design's memory layout moves the OLS solution in its last bits
+    # (see effects.outcome_design), so both steps hand on row-major values
+    rng = np.random.default_rng(6)
+    base = rng.standard_normal(200)
+    vals = np.column_stack([base, base + 0.01 * rng.standard_normal(200), rng.standard_normal(200)])
+    m = CauseMatrix(vals, ["a", "b", "c"], [str(i) for i in range(200)])
+    out, _ = standardize(m)
+    kept, dropped = correlation_screen(out, threshold=0.7)
+    assert len(dropped) == 1 and kept.n_causes == 2
+    assert out.values.flags.c_contiguous and kept.values.flags.c_contiguous
 
 
 def test_standardize_rejects_constant_column():

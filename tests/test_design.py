@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicause.dataset import CauseMatrix, CovariateMatrix, OutcomeVector
+from multicause.dataset import CauseMatrix, CovariateMatrix
 from multicause.effects import (
     estimate_effects_causal,
     estimate_effects_noncausal,
@@ -45,7 +45,7 @@ def design_problems(draw):
     r_vals = raw.sum(axis=1) + z_vals.sum(axis=1) + rng.standard_normal(n)
     y_vals = raw @ rng.standard_normal(pool) + 0.5 * r_vals + rng.standard_normal(n)
     order = [a.column_names[j] for j in draw(st.permutations(range(a.n_causes)))]
-    return a, z_vals, x, OutcomeVector(r_vals), OutcomeVector(y_vals), order
+    return a, z_vals, x, r_vals, y_vals, order
 
 
 def by_hand(a, z, x, causes=None, with_z=True):
@@ -72,11 +72,9 @@ def assert_same_fit(report, reference):
 
 def short(v, k=1):
     """The same input with its last k units dropped."""
-    if isinstance(v, np.ndarray):
-        return v[:-k]
     if isinstance(v, CovariateMatrix):
         return CovariateMatrix(v.values[:-k], v.column_names)
-    return OutcomeVector(v.values[:-k])
+    return v[:-k]
 
 
 DESIGNS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -87,7 +85,7 @@ DESIGNS = settings(max_examples=25, deadline=None, database=None, derandomize=Tr
 def test_builder_matches_the_hand_stacked_design(problem):
     a, z, x, _, y, order = problem
     for causes in (None, order):
-        design, names, kept = outcome_design(a, z, x, y.values, causes=causes)
+        design, names, kept = outcome_design(a, z, x, y, causes=causes)
         expected, expected_names = by_hand(a, z, x, causes)
         assert names == expected_names
         assert np.array_equal(design, expected)
@@ -114,15 +112,15 @@ def test_every_entry_point_fits_the_same_design(problem):
     perm = np.random.default_rng(3).permutation(a.n_units)
     test, train = perm[: int(0.2 * a.n_units)], perm[int(0.2 * a.n_units) :]
     for label, design in (("causal", full), ("noncausal", naive)):
-        fit = ols_fit(design[train], y.values[train])
-        err = y.values[test] - design[test] @ fit.coefficients()
+        fit = ols_fit(design[train], y[train])
+        err = y[test] - design[test] @ fit.coefficients()
         assert comparison[label]["mse"] == pytest.approx(np.mean(err * err), rel=1e-9)
         assert comparison[label]["mae"] == pytest.approx(np.mean(np.abs(err)), rel=1e-9)
 
     med = mediate(a, z, r, y, x)
     assert_same_fit(med.step1, ols_fit(full, y, full_names))
     assert_same_fit(med.step2, ols_fit(full, r, full_names))
-    with_r = np.column_stack([full, r.values])
+    with_r = np.column_stack([full, r])
     assert_same_fit(med.step4, ols_fit(with_r, y, full_names + ["mediator"]))
 
     table = sweep(a, y, z=z, order=order)
@@ -162,9 +160,9 @@ def test_every_entry_point_rejects_a_short_input(problem):
 def test_a_surrogate_block_must_be_two_dimensional():
     rng = np.random.default_rng(0)
     a = CauseMatrix(rng.standard_normal((20, 2)), ["c0", "c1"], [f"u{i}" for i in range(20)])
-    y = OutcomeVector(rng.standard_normal(20))
+    y = rng.standard_normal(20)
     for z in (rng.standard_normal(20), rng.standard_normal((20, 2, 1))):
         with pytest.raises(ValidationError, match="N x K"):
-            outcome_design(a, z, None, y.values)
+            outcome_design(a, z, None, y)
         with pytest.raises(ValidationError, match="N x K"):
             estimate_effects_causal(a, z, y)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from multicause.dataset import CauseMatrix, CovariateMatrix, OutcomeVector
+from multicause.dataset import CauseMatrix, CovariateMatrix
 from multicause.effects import (
     estimate_effects_causal,
     estimate_effects_noncausal,
@@ -135,7 +135,7 @@ def test_ols_input_validation():
 def test_constant_surrogates_reduce_to_the_naive_fit():
     rng = np.random.default_rng(5)
     a = matrix_from(rng.standard_normal((120, 3)))
-    y = OutcomeVector(a.values @ [1.0, -0.5, 0.2] + rng.standard_normal(120))
+    y = a.values @ [1.0, -0.5, 0.2] + rng.standard_normal(120)
     dead = np.zeros((120, 2))
     causal = estimate_effects_causal(a, dead, y)
     naive = estimate_effects_noncausal(a, y)
@@ -151,9 +151,8 @@ def test_surrogate_adjustment_recovers_confounded_coefficients():
     z = rng.standard_normal((n, 1))
     a_vals = 0.9 * z + 0.5 * rng.standard_normal((n, 2))
     theta = np.array([1.0, -2.0])
-    y_vals = a_vals @ theta + 3.0 * z[:, 0] + 0.1 * rng.standard_normal(n)
+    y = a_vals @ theta + 3.0 * z[:, 0] + 0.1 * rng.standard_normal(n)
     a = matrix_from(a_vals)
-    y = OutcomeVector(y_vals)
     causal = estimate_effects_causal(a, z, y)
     naive = estimate_effects_noncausal(a, y)
     assert np.allclose(causal.beta, theta, atol=0.05)
@@ -166,7 +165,7 @@ def test_partially_constant_surrogate_block_keeps_indexing():
     rng = np.random.default_rng(7)
     a = matrix_from(rng.standard_normal((100, 2)))
     z_vals = np.column_stack([np.full(100, 2.5), rng.standard_normal(100)])
-    y = OutcomeVector(a.values @ [1.0, 1.0] + 0.4 * z_vals[:, 1])
+    y = a.values @ [1.0, 1.0] + 0.4 * z_vals[:, 1]
     est = estimate_effects_causal(a, z_vals, y)
     assert est.gamma[0] == 0.0
     assert est.gamma[1] == pytest.approx(0.4, abs=1e-8)
@@ -180,7 +179,7 @@ def test_covariates_are_appended_and_estimated():
     rng = np.random.default_rng(8)
     a = matrix_from(rng.standard_normal((200, 2)))
     w = rng.standard_normal((200, 1))
-    y = OutcomeVector(a.values @ [0.5, -0.5] + 2.0 * w[:, 0])
+    y = a.values @ [0.5, -0.5] + 2.0 * w[:, 0]
     cov = CovariateMatrix(w, ["season"])
     est = estimate_effects_noncausal(a, y, x=cov)
     assert est.regression.row("season").mean == pytest.approx(2.0, abs=1e-8)
@@ -190,7 +189,7 @@ def test_covariates_are_appended_and_estimated():
 def test_surrogate_names_may_not_clash_with_causes_or_covariates():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((50, 2))
-    y = OutcomeVector(vals @ [1.0, -1.0] + rng.standard_normal(50))
+    y = vals @ [1.0, -1.0] + rng.standard_normal(50)
     z = rng.standard_normal((50, 2))
     a = CauseMatrix(vals, ["z1", "b"], [f"u{i}" for i in range(50)])
     with pytest.raises(ValidationError, match=r"\['z1'\]"):
@@ -204,10 +203,27 @@ def test_surrogate_names_may_not_clash_with_causes_or_covariates():
     assert estimate_effects_causal(matrix_from(vals), z, y, x=cov).regression.row("z3")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_outcome_must_be_a_finite_vector(bad):
+    rng = np.random.default_rng(12)
+    a = matrix_from(rng.standard_normal((30, 2)))
+    z = rng.standard_normal((30, 1))
+    y = rng.standard_normal(30)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        estimate_effects_noncausal(a, y[:, None])
+    y[4] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        estimate_effects_noncausal(a, y)
+    with pytest.raises(ValidationError, match="non-finite"):
+        estimate_effects_causal(a, z, y)
+    with pytest.raises(ValidationError, match="non-finite"):
+        predictive_comparison(a, z, y)
+
+
 def test_missing_causes_are_rejected():
     vals = np.array([[1.0, np.nan], [0.5, 1.0], [0.2, 0.3]])
-    m = CauseMatrix(vals, ["a", "b"], ["u0", "u1", "u2"], np.isnan(vals))
-    y = OutcomeVector(np.zeros(3))
+    m = CauseMatrix(vals, ["a", "b"], ["u0", "u1", "u2"])
+    y = np.zeros(3)
     with pytest.raises(ValidationError):
         estimate_effects_noncausal(m, y)
     with pytest.raises(ValidationError):
@@ -221,7 +237,7 @@ def test_predictive_comparison_prefers_surrogates_under_confounding():
     a_vals = 0.8 * z + 0.6 * rng.standard_normal((n, 3))
     y_vals = a_vals @ [1.0, 0.5, -1.0] + 2.5 * z[:, 0]
     out = predictive_comparison(
-        matrix_from(a_vals), z, OutcomeVector(y_vals), split=0.25
+        matrix_from(a_vals), z, y_vals, split=0.25
     )
     assert out["causal"]["mse"] < 1e-20  # exact linear model, no noise
     assert out["noncausal"]["mse"] > 0.5
@@ -232,7 +248,7 @@ def test_predictive_comparison_validation():
     rng = np.random.default_rng(10)
     a = matrix_from(rng.standard_normal((30, 3)))
     z = rng.standard_normal((30, 2))
-    y = OutcomeVector(rng.standard_normal(30))
+    y = rng.standard_normal(30)
     with pytest.raises(ValidationError):
         predictive_comparison(a, z, y, split=0.0)
     with pytest.raises(ValidationError):

@@ -13,13 +13,12 @@ from multicause.synthetic import config_confounded, generate
 
 
 def matrix_from(vals, miss=None):
-    n, d = np.asarray(vals).shape
-    return CauseMatrix(
-        np.asarray(vals, dtype=float),
-        [f"c{j}" for j in range(d)],
-        [f"u{i}" for i in range(n)],
-        miss,
-    )
+    """A cause matrix of `vals`, with NaN written into the `miss` cells."""
+    vals = np.array(vals, dtype=float)
+    if miss is not None:
+        vals[miss] = np.nan
+    n, d = vals.shape
+    return CauseMatrix(vals, [f"c{j}" for j in range(d)], [f"u{i}" for i in range(n)])
 
 
 def test_noiseless_linear_dependence_recovered():
@@ -114,6 +113,23 @@ def test_validation_errors():
     assert "no observed causes" in str(err.value)
 
 
+def test_stop_rule_does_not_depend_on_the_units():
+    # the same problem in thousandths or in millions converges in the same
+    # number of sweeps: the rule reads a sweep's change in column sds
+    rng = np.random.default_rng(11)
+    n = 300
+    vals = rng.standard_normal((n, 3)) @ [[1.0, 0.6, 0.3], [0.0, 0.8, 0.4], [0.0, 0.0, 0.7]]
+    miss = rng.random((n, 3)) < 0.3
+    miss[:, 0] = False
+    cfg = MiceConfig(iterations=500)
+    runs = [impute_mice(matrix_from(vals * scale, miss), cfg) for scale in (1.0, 1e-3, 1e6)]
+    assert all(res.converged for res in runs)
+    assert [res.sweeps for res in runs] == [runs[0].sweeps] * 3
+    assert runs[0].sweeps > 5
+    # max_change stays in the column's own units
+    assert runs[2].max_change == pytest.approx(1e6 * runs[0].max_change, rel=1e-3)
+
+
 def test_deterministic_given_config():
     cfg = config_confounded(n_units=500, seed=7, missing_rate=0.15)
     m, _, _, _ = generate(cfg)
@@ -130,6 +146,8 @@ def lstsq_mice(vals, miss, cfg):
     n, d = vals.shape
     x = vals.copy()
     col_means = np.nanmean(vals, axis=0)
+    col_sd = np.nanstd(vals, axis=0)
+    cell_sd = np.broadcast_to(np.where(col_sd == 0, 1.0, col_sd), (n, d))[miss]
     for j in range(d):
         x[miss[:, j], j] = col_means[j]
     targets = [j for j in range(d) if miss[:, j].any()]
@@ -150,7 +168,7 @@ def lstsq_mice(vals, miss, cfg):
                 continue
             pred = np.column_stack([np.ones(int(miss[:, j].sum())), x[miss[:, j]][:, others]])
             x[miss[:, j], j] = pred @ beta
-        if np.max(np.abs(x[miss] - previous)) < cfg.convergence_tol:
+        if np.max(np.abs(x[miss] - previous) / cell_sd) < cfg.convergence_tol:
             converged = True
             break
     return x, sweeps, converged, sorted(fallback)
@@ -166,14 +184,13 @@ def assert_matches_lstsq_loop(vals, miss, cfg, duplicate=False):
     Gram sweeps work on standardized columns, whose condition number ks the
     normal equations square. Against the raw loop the gap may reach
     16 eps (ks^2 + ks kr), and both stop at the same sweep wherever that
-    bound is well below the stopping rule's absolute tolerance. The same
-    loop fed the standardized columns must agree to 16 eps ks^2 (1 +
-    |mu|/sd), the |mu|/sd because its z-space mean fill is rounded at that
-    scale; both runs then sweep to the cap, since a stopping rule read in z
-    units would stop elsewhere. Over 600 random problems of the strategy
-    below the largest gaps were 0.17 and 0.36 of those bounds. Condition numbers are
-    taken without c1 when it copies c0; those fits fall back, and there all
-    the loops agree exactly.
+    bound is well below the stopping rule's tolerance, which is read in
+    column sds. The same loop fed the standardized columns must agree to
+    16 eps ks^2 (1 + |mu|/sd), the |mu|/sd because its z-space mean fill
+    is rounded at that scale; both runs then sweep to the cap. Over 600
+    random problems of the strategy below the largest gaps were 0.17 and
+    0.36 of those bounds. Condition numbers are taken without c1 when it
+    copies c0; those fits fall back, and there all the loops agree exactly.
     """
     n, d = vals.shape
     res = impute_mice(matrix_from(vals, miss), cfg)
@@ -191,9 +208,9 @@ def assert_matches_lstsq_loop(vals, miss, cfg, duplicate=False):
     bound = 16 * eps * (ks**2 + ks * kr)
     gap = np.abs(res.matrix.values - ref).max(axis=0) / sd
     assert np.all(gap <= bound)
-    if np.max(bound * sd) < cfg.convergence_tol / 10:
-        # the reference's own error leaves the stopping rule's absolute
-        # tolerance resolved, so both loops stop at the same sweep
+    if np.max(bound) < cfg.convergence_tol / 10:
+        # the reference's own error leaves the stopping rule's tolerance
+        # resolved, so both loops stop at the same sweep
         assert (res.sweeps, res.converged) == (sweeps, converged)
 
     to_cap = MiceConfig(iterations=cfg.iterations, convergence_tol=0.0)

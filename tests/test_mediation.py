@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from multicause.dataset import CauseMatrix, OutcomeVector
+from multicause.dataset import CauseMatrix
 from multicause.errors import ValidationError
 from multicause.mediation import (
     STATUS_FULL,
@@ -70,8 +70,8 @@ def test_unrelated_mediator_is_not_established():
     rng = np.random.default_rng(1)
     n = 1000
     a_vals = rng.standard_normal((n, 3))
-    r = OutcomeVector(rng.standard_normal(n), kind="rating")
-    y = OutcomeVector(a_vals @ [1.0, -1.0, 0.5] + 0.3 * rng.standard_normal(n))
+    r = rng.standard_normal(n)
+    y = a_vals @ [1.0, -1.0, 0.5] + 0.3 * rng.standard_normal(n)
     rep = mediate(matrix_from(a_vals), dead_surrogates(n), r, y)
     assert set(rep.status.values()) == {STATUS_NOT_ESTABLISHED}
 
@@ -86,8 +86,8 @@ def test_surrogate_block_is_part_of_every_step():
     rep = mediate(
         matrix_from(a_vals),
         z,
-        OutcomeVector(r_vals, kind="rating"),
-        OutcomeVector(y_vals),
+        r_vals,
+        y_vals,
     )
     # with the confounder in the design the direct path correctly dies off
     assert np.max(np.abs(rep.beta_direct)) < 0.05
@@ -98,7 +98,7 @@ def test_surrogate_block_is_part_of_every_step():
 
 def test_identical_mediator_and_outcome_rejected():
     m, r, _, _ = generate(config_mediation(n_units=200, seed=3))
-    same = OutcomeVector(r.values.copy(), kind="popularity")
+    same = r.copy()
     with pytest.raises(ValidationError) as err:
         mediate(m, dead_surrogates(200), r, same)
     assert "identical" in str(err.value)
@@ -109,7 +109,14 @@ def test_length_disagreement_rejected():
     with pytest.raises(ValidationError):
         mediate(m, dead_surrogates(99), r, y)
     with pytest.raises(ValidationError):
-        mediate(m, dead_surrogates(100), OutcomeVector(r.values[:50]), y)
+        mediate(m, dead_surrogates(100), r[:50], y)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_alpha_outside_the_unit_interval_is_rejected(alpha):
+    m, r, y, _ = generate(config_mediation(n_units=100, seed=4))
+    with pytest.raises(ValidationError, match="alpha"):
+        mediate(m, dead_surrogates(100), r, y, alpha=alpha)
 
 
 def test_report_serialization():

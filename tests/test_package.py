@@ -40,7 +40,7 @@ def test_readme_library_example_runs(capsys):
     section = README.read_text().split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     m, _, y, _ = generate(config_confounded(n_units=2000, seed=0))
-    scope = {"raw": m.values, "cols": m.column_names, "ids": m.unit_ids, "y": y.values}
+    scope = {"raw": m.values, "cols": m.column_names, "ids": m.unit_ids, "y": y}
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["z"].shape == (2000, 5)
     assert scope["est"].beta.shape == (9,)

@@ -250,6 +250,12 @@ def test_predictive_check_input_validation():
     with pytest.raises(ValidationError) as err:
         predictive_check(model, m, bare)
     assert "held-out" in str(err.value)
+    # the score is a probability: a threshold outside [0, 1) passes every
+    # model or none, so it is refused
+    for threshold in (-1.0, -1e-9, 1.0, 2.0, math.nan):
+        with pytest.raises(ValidationError, match="threshold"):
+            predictive_check(model, m, mask, threshold=threshold)
+    assert predictive_check(model, m, mask, threshold=0.0).passed
 
 
 def test_predictive_check_forms_one_posterior(monkeypatch):
@@ -290,8 +296,7 @@ def test_fit_rejects_k_out_of_range_and_rank_deficiency():
 
 def test_missing_data_is_rejected_everywhere():
     vals = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 0.0], [0.5, 0.5, 0.5]])
-    miss = np.isnan(vals)
-    m = CauseMatrix(vals, ["a", "b", "c"], ["u0", "u1", "u2"], miss)
+    m = CauseMatrix(vals, ["a", "b", "c"], ["u0", "u1", "u2"])
     with pytest.raises(ValidationError):
         fit_ppca(m, 1)
     model = PpcaModel(

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from multicause.dataset import CauseMatrix, OutcomeVector, make_holdout, standardize
+from multicause.dataset import CauseMatrix, make_holdout, standardize
 from multicause.errors import ValidationError
 from multicause.ppca import PpcaConfig, fit_ppca, posterior_mean_partial
 from multicause.robustness import SweepCell, sweep
@@ -66,9 +66,7 @@ def test_independent_causes_never_flip():
     # orthogonal causes leave nothing to borrow, so the sweep stays flat
     rng = np.random.default_rng(1)
     m = matrix_from(rng.standard_normal((3000, 5)))
-    y = OutcomeVector(
-        m.values @ [0.4, -0.3, 0.2, 0.0, -0.2] + rng.standard_normal(3000)
-    )
+    y = m.values @ [0.4, -0.3, 0.2, 0.0, -0.2] + rng.standard_normal(3000)
     assert sweep(m, y).flips == []
 
 
@@ -82,7 +80,7 @@ def _borrowed_sign_data(seed):
     c1 = rng.standard_normal(n)
     c2 = h + 0.3 * rng.standard_normal(n)
     y = -0.25 * c0 + 0.4 * c1 + 0.62 * c2 + rng.standard_normal(n)
-    return matrix_from(np.column_stack([c0, c1, c2])), OutcomeVector(y)
+    return matrix_from(np.column_stack([c0, c1, c2])), y
 
 
 def test_flip_requires_significance_on_both_sides():
@@ -129,15 +127,16 @@ def test_sweep_table_shape_and_serialization():
 def test_sweep_input_validation():
     m, _, y, _ = generate(config_flip(n_units=300, seed=3))
     with pytest.raises(ValidationError):
-        sweep(m, OutcomeVector(y.values[:100]))
+        sweep(m, y[:100])
     with pytest.raises(ValidationError):
         sweep(m, y, order=["c1", "c2"])
     with pytest.raises(ValidationError):
         sweep(m, y, order=["c1", "c2", "c3", "c4", "c4"])
     holes = m.values.copy()
     holes[0, 1] = np.nan
-    with_missing = CauseMatrix(
-        holes, m.column_names, m.unit_ids, np.isnan(holes)
-    )
+    with_missing = CauseMatrix(holes, m.column_names, m.unit_ids)
     with pytest.raises(ValidationError):
         sweep(with_missing, y)
+    for alpha in (0.0, 1.0, 2.0, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="alpha"):
+            sweep(m, y, alpha=alpha)

@@ -29,7 +29,7 @@ def test_same_config_is_bit_identical():
     m2, _, y2, t2 = generate(cfg_b)
     assert np.array_equal(m1.values, m2.values, equal_nan=True)
     assert np.array_equal(m1.missing, m2.missing)
-    assert np.array_equal(y1.values, y2.values)
+    assert np.array_equal(y1, y2)
     assert np.array_equal(t1.z, t2.z)
     # a different seed moves the data
     m3, _, _, _ = generate(config_confounded(n_units=800, seed=43, missing_rate=0.1))
@@ -147,16 +147,11 @@ def test_confounded_naive_regression_is_biased():
 def test_mediator_construction():
     cfg = config_mediation(n_units=4000, seed=4)
     m, rating, y, truth = generate(cfg)
-    assert rating.kind == "rating"
-    assert y.kind == "popularity"
-    resid = (
-        truth.mediator_values
-        - truth.causes_complete @ truth.mediator_theta
-    )
+    resid = rating - truth.causes_complete @ truth.mediator_theta
     assert resid.std() == pytest.approx(cfg.noise_sd_mediator, rel=0.1)
     # outcome leans on the realized mediator
     direct = truth.causes_complete @ truth.true_beta
-    resid_y = y.values - direct - truth.mediator_lambda * truth.mediator_values
+    resid_y = y - direct - truth.mediator_lambda * rating
     assert resid_y.std() == pytest.approx(cfg.noise_sd_outcome, rel=0.1)
 
 
