@@ -48,15 +48,18 @@ from .effects import (
 )
 from .errors import MulticauseError, PredictiveCheckFailed, ValidationError
 from .imputation import MiceConfig, impute_mice
+from .mediation import check_alpha as check_mediation_alpha
 from .mediation import mediate
 from .ppca import (
     DEFAULT_K,
     PpcaConfig,
     PpcaModel,
+    check_threshold,
     fit_ppca,
     posterior_mean_partial,
     predictive_check,
 )
+from .robustness import check_alpha as check_sweep_alpha
 from .robustness import sweep
 from .synthetic import SCENARIOS, generate
 from .tables import (
@@ -308,6 +311,7 @@ def cmd_fit_ppca(args, out: str) -> int:
 
 
 def cmd_check(args, out: str) -> int:
+    check_threshold(args.check_threshold)
     m, _, _, prep = _prepare(args)
     model = _load_model(args.model, m)
     mask = HoldoutMask.from_dict(_read_json(args.mask, "mask"), m.values.shape)
@@ -326,6 +330,7 @@ def cmd_check(args, out: str) -> int:
 
 
 def cmd_effects(args, out: str) -> int:
+    check_threshold(args.check_threshold)
     m, y, x, prep = _prepare(args)
     mask, model, z = _surrogates(args, m)
     result = predictive_check(model, m, mask, threshold=args.check_threshold)
@@ -368,6 +373,7 @@ def cmd_mediate(args, out: str) -> int:
         raise ValidationError("mediator and outcome must be different columns")
     if args.mediator in _split(args.covariates):
         raise ValidationError("the mediator cannot also be a covariate")
+    check_mediation_alpha(args.alpha)
     m, y, x, prep = _prepare(args)
     # the mediator was loaded as one more covariate; split it off
     j = x.column_names.index(args.mediator)
@@ -389,6 +395,7 @@ def cmd_mediate(args, out: str) -> int:
 def cmd_robustness(args, out: str) -> int:
     if _split(args.covariates):  # the sweep regresses on causes and surrogates only
         raise ValidationError("robustness takes no --covariates; drop those columns with --ignore")
+    check_sweep_alpha(args.alpha)
     m, y, _, report = _prepare(args)
     order = _split(args.order) or None
     paragraphs = []

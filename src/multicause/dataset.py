@@ -11,15 +11,21 @@ a finite number (nan and inf are rejected).
 from __future__ import annotations
 
 import csv
+import io
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 
 MISSING_TOKENS = ("", "NA")
+_MISSING_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
+# characters for which csv.writer's default dialect quotes a field
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 @dataclass(eq=False)
@@ -163,6 +169,71 @@ def _parse_cell(text: str, row_line: int, column: str, allow_missing: bool) -> f
     return value
 
 
+def _convert_rows(reader, width: int, numeric: list[int], n_causes: int, id_idx: int | None):
+    """Every row's numeric cells as one (rows, len(numeric)) block, plus the ids.
+
+    Whole rows are converted at C speed: the exact missing tokens become
+    "nan" and every cell goes through `float`. Returns None when any row
+    needs `_parse_cell`'s verdict: a ragged or malformed row, a cell that
+    does not convert, a NaN or inf that no exact token accounts for, a
+    missing outcome or covariate, or a repeated id.
+    """
+    if len(numeric) > 1:
+        take = itemgetter(*numeric)
+    else:  # a one-index itemgetter returns the cell, not a 1-tuple
+        take = itemgetter(slice(numeric[0], numeric[0] + 1))
+    values = array("d")
+    unit_ids: list[str] = []
+    tokens = 0  # cells that are exactly "" or "NA"
+    try:
+        for row in reader:
+            if len(row) != width:
+                return None
+            cells = take(row)
+            values.extend(map(float, map(_MISSING_AS_NAN.get, cells, cells)))
+            tokens += cells.count("") + cells.count("NA")
+            if id_idx is not None:
+                unit_ids.append(row[id_idx].strip())
+    except (ValueError, csv.Error):
+        return None
+    block = np.frombuffer(values).reshape(-1, len(numeric))
+    nan = np.isnan(block)
+    if np.isinf(block).any() or nan.sum() != tokens or nan[:, n_causes:].any():
+        return None
+    if id_idx is None:
+        unit_ids = [str(i) for i in range(len(block))]
+    elif len(set(unit_ids)) != len(unit_ids):
+        return None
+    return block, unit_ids
+
+
+def _parse_rows(reader, header: list[str], numeric: list[int], n_causes: int, id_idx: int | None):
+    """Cell by cell, as `_convert_rows`, but raising the first error in row order.
+
+    Padded missing tokens (" NA "), which `_convert_rows` refuses, read as missing.
+    """
+    rows: list[list[float]] = []
+    unit_ids: list[str] = []
+    seen_ids: set[str] = set()
+    try:
+        for row in reader:
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+            # causes first, then the outcome, then the covariates
+            rows.append(
+                [_parse_cell(row[i], line, header[i], j < n_causes) for j, i in enumerate(numeric)]
+            )
+            uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
+            if uid in seen_ids:
+                raise ValidationError(f"line {line}: duplicate unit id '{uid}'")
+            seen_ids.add(uid)
+            unit_ids.append(uid)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    return np.array(rows, dtype=float).reshape(-1, len(numeric)), unit_ids
+
+
 def load_csv(
     path: str,
     outcome: str | None = None,
@@ -207,42 +278,40 @@ def load_csv(
         if not cause_idx:
             raise ValidationError("no cause columns remain once the named columns are set aside")
         cov_idx = [i for i, c in enumerate(header) if roles.get(c) == "covariate"]
-        outcome_idx = None if outcome is None else header.index(outcome)
+        outcome_idx = [] if outcome is None else [header.index(outcome)]
         id_idx = header.index(id_column) if id_column in header else None
+        numeric = cause_idx + outcome_idx + cov_idx
+        n_causes = len(cause_idx)
 
-        causes: list[list[float]] = []
-        outcomes: list[float] = []
-        cov_rows: list[list[float]] = []
-        unit_ids: list[str] = []
-        seen_ids: set[str] = set()
-        try:
-            for row in reader:
-                line = reader.line_num
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"expected {len(header)} fields, got {len(row)}", line=line
-                    )
-                causes.append([_parse_cell(row[i], line, header[i], True) for i in cause_idx])
-                if outcome_idx is not None:
-                    outcomes.append(_parse_cell(row[outcome_idx], line, outcome, False))
-                if cov_idx:
-                    cov_rows.append(
-                        [_parse_cell(row[i], line, header[i], False) for i in cov_idx]
-                    )
-                uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
-                if uid in seen_ids:
-                    raise ValidationError(f"line {line}: duplicate unit id '{uid}'")
-                seen_ids.add(uid)
-                unit_ids.append(uid)
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+        parsed = None
+        if handle.seekable():  # a pipe cannot be read twice: parse it cell by cell
+            parsed = _convert_rows(reader, len(header), numeric, n_causes, id_idx)
+            if parsed is None:
+                # some row needs a closer look: read it again, cell by cell
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
+        if parsed is None:
+            parsed = _parse_rows(reader, header, numeric, n_causes, id_idx)
+    block, unit_ids = parsed
 
-    if len(causes) < 2:
-        raise ValidationError(f"need at least 2 data rows, got {len(causes)}")
-    matrix = CauseMatrix(np.array(causes, dtype=float), [header[i] for i in cause_idx], unit_ids)
-    y = np.array(outcomes) if outcome_idx is not None else None
-    x = CovariateMatrix(np.array(cov_rows), [header[i] for i in cov_idx]) if cov_idx else None
+    if len(block) < 2:
+        raise ValidationError(f"need at least 2 data rows, got {len(block)}")
+    matrix = CauseMatrix(block[:, :n_causes], [header[i] for i in cause_idx], unit_ids)
+    y = block[:, n_causes].copy() if outcome_idx else None
+    x = None
+    if cov_idx:
+        x = CovariateMatrix(block[:, n_causes + len(outcome_idx):], [header[i] for i in cov_idx])
     return matrix, y, x
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def write_csv(
@@ -269,12 +338,15 @@ def write_csv(
     if covariates is not None:
         columns.append(covariates.values)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        # a NaN marks exactly the missing cause cells; repr round-trips
-        # float64 exactly, which load_csv relies on
-        for uid, row in zip(m.unit_ids, np.column_stack(columns).tolist()):
-            writer.writerow([uid, *("" if v != v else repr(v) for v in row)])
+        csv.writer(handle).writerow(header)
+        # repr round-trips float64 exactly, which load_csv relies on; no
+        # finite or infinite repr contains "nan", so blanking it empties
+        # exactly the missing cells, which are NaN. A generator, not a
+        # list, so the file's text is never held whole.
+        handle.writelines(
+            f"{_csv_field(uid)},{','.join(map(repr, row)).replace('nan', '')}\r\n"
+            for uid, row in zip(m.unit_ids, np.column_stack(columns).tolist())
+        )
 
 
 def standardize(m: CauseMatrix) -> tuple[CauseMatrix, Standardization]:

@@ -52,6 +52,12 @@ class MediationReport:
         return doc
 
 
+def check_alpha(alpha: float) -> None:
+    """A test level must lie strictly in (0, 1), NaN excluded."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
+
 def mediate(
     a: CauseMatrix,
     z: np.ndarray,
@@ -61,8 +67,7 @@ def mediate(
     alpha: float = 0.05,
 ) -> MediationReport:
     """Test whether the causes act on `y` through `r`, each step at level `alpha` in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     rv = _as_vector(r)
     yv = _as_vector(y)
     design, base_names, _ = outcome_design(a, z, x, rv, yv)

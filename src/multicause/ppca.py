@@ -447,6 +447,12 @@ def _chi2_mixture_sf(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sf
 
 
+def check_threshold(threshold: float) -> None:
+    """The check's pass threshold must lie in [0, 1), NaN excluded."""
+    if not 0.0 <= threshold < 1.0:
+        raise ValidationError(f"check threshold must lie in [0, 1), got {threshold}")
+
+
 def predictive_check(
     model: PpcaModel, m: CauseMatrix, mask: HoldoutMask, threshold: float = 0.1
 ) -> PredictiveCheckResult:
@@ -471,8 +477,7 @@ def predictive_check(
     The model passes when the score exceeds `threshold`, which must lie in
     [0, 1).
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ValidationError(f"check threshold must lie in [0, 1), got {threshold}")
+    check_threshold(threshold)
     observed, pats, inverse, minv, means = _posterior(model, m, mask)
     if np.any(observed.all(axis=1)):
         raise ValidationError("every row needs at least one held-out entry")

@@ -44,6 +44,12 @@ class SweepTable:
         return self.cells[step - 1].get(cause)
 
 
+def check_alpha(alpha: float) -> None:
+    """A test level must lie strictly in (0, 1), NaN excluded."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
+
 def sweep(
     a: CauseMatrix,
     y: np.ndarray,
@@ -52,8 +58,7 @@ def sweep(
     alpha: float = 0.05,
 ) -> SweepTable:
     """Fit [intercept | first t causes | surrogates?] for t = 1..D, at level `alpha` in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     yv = _as_vector(y)
     if order is None:
         order = list(a.column_names)

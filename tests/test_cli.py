@@ -812,6 +812,10 @@ def test_probability_flags_outside_their_range_are_rejected(
     assert run(*argv, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error [{label}] ") and "must lie" in err
+    # the range is checked before anything is read
+    argv[argv.index("--input") + 1] = tmp_path / "absent.csv"
+    assert run(*argv, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("outcome, k", [("popularity", 5), ("rating", 8), (None, 5)])

@@ -1,8 +1,15 @@
 """Ingestion, standardization, screening, holdout, and overlap checks."""
 
+import csv
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multicause import dataset
 from multicause.dataset import (
     CauseMatrix,
     CovariateMatrix,
@@ -14,7 +21,7 @@ from multicause.dataset import (
     standardize,
     write_csv,
 )
-from multicause.errors import ParseError, ValidationError
+from multicause.errors import MulticauseError, ParseError, ValidationError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -129,6 +136,255 @@ def test_roundtrip_is_bit_exact(tmp_path):
     tall = CovariateMatrix(np.vstack([x.values, x.values[:1]]), ["w", "v"])
     with pytest.raises(ValidationError, match="covariate"):
         write_csv(path, m, covariates=tall)
+
+
+# ---------------------------------------------------------------------------
+# CSV parity: load_csv and write_csv convert whole rows at C speed; the
+# row-by-row code they replaced is kept here as the oracle.
+
+
+def oracle_write_csv(path, m, outcomes, covariates):
+    """The row-by-row writer: one csv.writer row per unit, NaN written as ""."""
+    header = ["id", *m.column_names, *outcomes]
+    columns = [m.values, *outcomes.values()]
+    if covariates is not None:
+        header += covariates.column_names
+        columns.append(covariates.values)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for uid, row in zip(m.unit_ids, np.column_stack(columns).tolist()):
+            writer.writerow([uid, *("" if v != v else repr(v) for v in row)])
+
+
+def oracle_parse_cell(text, row_line, column, allow_missing):
+    stripped = text.strip()
+    if stripped in ("", "NA"):
+        if allow_missing:
+            return np.nan
+        raise ValidationError(f"line {row_line}: missing value in non-cause column '{column}'")
+    try:
+        value = float(stripped)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"'{stripped}' in column '{column}' is not a finite number", row_line)
+    return value
+
+
+def oracle_load_csv(path, outcome=None, covariates=(), id_column="id"):
+    """The cell-by-cell loader (role checks cut to what the cases need)."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        roles = {c: "covariate" for c in covariates}
+        if outcome is not None:
+            roles[outcome] = "outcome"
+        cause_idx = [i for i, c in enumerate(header) if c != id_column and c not in roles]
+        cov_idx = [i for i, c in enumerate(header) if roles.get(c) == "covariate"]
+        outcome_idx = None if outcome is None else header.index(outcome)
+        id_idx = header.index(id_column) if id_column in header else None
+        causes, outcomes, cov_rows, unit_ids, seen_ids = [], [], [], [], set()
+        try:
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+                causes.append([oracle_parse_cell(row[i], line, header[i], True) for i in cause_idx])
+                if outcome_idx is not None:
+                    outcomes.append(oracle_parse_cell(row[outcome_idx], line, outcome, False))
+                if cov_idx:
+                    cov_rows.append(
+                        [oracle_parse_cell(row[i], line, header[i], False) for i in cov_idx]
+                    )
+                uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
+                if uid in seen_ids:
+                    raise ValidationError(f"line {line}: duplicate unit id '{uid}'")
+                seen_ids.add(uid)
+                unit_ids.append(uid)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+    if len(causes) < 2:
+        raise ValidationError(f"need at least 2 data rows, got {len(causes)}")
+    matrix = CauseMatrix(np.array(causes, dtype=float), [header[i] for i in cause_idx], unit_ids)
+    y = np.array(outcomes) if outcome_idx is not None else None
+    x = CovariateMatrix(np.array(cov_rows), [header[i] for i in cov_idx]) if cov_idx else None
+    return matrix, y, x
+
+
+def load_verdict(load, path, **roles):
+    """Everything a load returns, or the error it raises, as comparable values."""
+    try:
+        m, y, x = load(path, **roles)
+    except MulticauseError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        m.values.view("u8").tolist(), m.column_names, m.unit_ids,
+        None if y is None else y.view("u8").tolist(),
+        None if x is None else (x.values.view("u8").tolist(), x.column_names),
+    )
+
+
+EDGE_VALUES = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+MAGNITUDES = st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.integers(-30, 29),
+    st.floats(1.0, 10.0, exclude_max=True),
+)
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]), MAGNITUDES)
+ID_PIECES = ["a", "7", ",", '"', "\n", "\r", "\r\n", " ", "nan", "é", "名"]
+UNIT_IDS = st.lists(st.sampled_from(ID_PIECES), max_size=4).map("".join)
+
+
+@st.composite
+def datasets(draw):
+    """A dataset to write; mostly finite, so that most can be read back."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+    finite = draw(st.integers(0, 3)) > 0
+    data = FINITE if finite else st.one_of(st.sampled_from(EDGE_VALUES), MAGNITUDES)
+    causes = st.one_of(st.just(np.nan), data)
+    rows = st.lists(st.lists(causes, min_size=d, max_size=d), min_size=n, max_size=n)
+    values = np.array(draw(rows))
+    values[0, np.isnan(values).all(axis=0)] = 1.0  # no cause column may be entirely missing
+    # load_csv strips ids, so they must stay distinct once stripped
+    ids = draw(st.lists(UNIT_IDS, min_size=n, max_size=n, unique_by=str.strip))
+    m = CauseMatrix(values, [f"c{j}" for j in range(d)], ids)
+    column = st.lists(data, min_size=n, max_size=n).map(np.array)
+    outcomes = {f"y{k}": draw(column) for k in range(draw(st.integers(0, 2)))}
+    covariates = None
+    if draw(st.booleans()):  # covariates hold no NaN
+        block = np.column_stack([draw(column), draw(column)])
+        covariates = CovariateMatrix(np.where(np.isnan(block), 0.5, block), ["w", "v"])
+    return m, outcomes, covariates
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(datasets())
+def test_write_csv_bytes_match_the_row_by_row_writer(tmp_path_factory, dataset):
+    m, outcomes, covariates = dataset
+    path = tmp_path_factory.mktemp("parity") / "ours.csv"
+    oracle = path.with_name("oracle.csv")
+    write_csv(str(path), m, outcomes=outcomes, covariates=covariates)
+    oracle_write_csv(oracle, m, outcomes, covariates)
+    assert path.read_bytes() == oracle.read_bytes()
+
+    # read back with every non-cause column as a covariate
+    rest = [*outcomes.values(), *([] if covariates is None else [covariates.values])]
+    rest = np.column_stack(rest) if rest else None
+    roles = {"covariates": [*outcomes, *([] if covariates is None else covariates.column_names)]}
+    if np.isinf(m.values).any() or (rest is not None and not np.isfinite(rest).all()):
+        # not data: both loaders refuse it alike
+        assert load_verdict(load_csv, str(path), **roles) == load_verdict(
+            oracle_load_csv, str(path), **roles
+        )
+        with pytest.raises(MulticauseError):
+            load_csv(str(path), **roles)
+        return
+    m2, _, x2 = load_csv(str(path), **roles)
+    assert np.array_equal(m2.values.view("u8"), m.values.view("u8"))
+    assert m2.unit_ids == [uid.strip() for uid in m.unit_ids]
+    assert (x2 is None) == (rest is None)
+    if rest is not None:
+        assert np.array_equal(x2.values.view("u8"), rest.view("u8"))
+
+
+HEADER = "id,a,b,y,w\n"
+LOAD_CASES = {
+    "clean": HEADER + "u1,1.5,,3,0.5\nu2,NA,2.0,4,0.25\n",
+    "nan-cause": HEADER + "u1,1,2,3,4\nu2,nan,2,3,4\n",
+    "inf-cause": HEADER + "u1,1,2,3,4\nu2,-inf,2,3,4\n",
+    "nan-outcome": HEADER + "u1,1,2,NaN,4\nu2,1,2,3,4\n",
+    "inf-covariate": HEADER + "u1,1,2,3,Infinity\nu2,1,2,3,4\n",
+    "overflow": HEADER + "u1,1,2,3,4\nu2,1e400,2,3,4\n",
+    "abc": HEADER + "u1,1,2,3,4\nu2,1,abc,3,4\n",
+    "underscore": HEADER + "u1,1_000,2,3,4\nu2,1,2,3,4\n",
+    "padded-na": HEADER + "u1, NA ,2,3,4\nu2,1,2,3,4\n",
+    "padded-number": HEADER + "u1, 2.5 ,2,3, 4 \nu2,1,2,3,4\n",
+    "blank-cell": HEADER + "u1,  ,2,3,4\nu2,1,2,3,4\n",
+    "na-outcome": HEADER + "u1,1,2,3,4\nu2,1,2,NA,4\n",
+    "empty-covariate": HEADER + "u1,1,2,3,\nu2,1,2,3,4\n",
+    "duplicate-before-bad-cell": HEADER + "u1,1,2,3,4\nu1,1,2,3,4\nu3,x,2,3,4\n",
+    "duplicate-after-bad-cell": HEADER + "u1,1,2,3,4\nu2,x,2,3,4\nu1,1,2,3,4\n",
+    "padded-duplicate": HEADER + "u1,1,2,3,4\n u1 ,1,2,3,4\n",
+    "multi-line-id": HEADER + 'u1,1,2,3,4\n"u\n2",1,2,3,4\nu3,1,bad,3,4\n',
+    "ragged": HEADER + "u1,1,2,3,4\nu2,1,2,3\n",
+    "ragged-after-bad-cell": HEADER + "u1,1,oops,3,4\nu2,1,2,3\n",
+    "one-row-bad-cell": HEADER + "u1,1,oops,3,4\n",
+    "one-row": HEADER + "u1,1,2,3,4\n",
+    "no-rows": HEADER,
+    "no-id-column": "a,b,y,w\n1,2,3,4\n,NA,5,6\n",
+    "no-id-column-bad-cell": "a,b,y,w\n1,2,3,4\n1,2,inf,6\n",
+    "field-too-large": HEADER + "u1,1,2,3,4\nu2," + "9" * 131073 + ",2,3,4\n",
+    "column-missing": HEADER + "u1,,2,3,4\nu2,NA,2,3,4\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_load_csv_matches_the_cell_by_cell_loader(tmp_path, case):
+    path = write(tmp_path, LOAD_CASES[case])
+    for roles in ({"outcome": "y", "covariates": ["w"]}, {}):
+        assert load_verdict(load_csv, path, **roles) == load_verdict(oracle_load_csv, path, **roles)
+
+
+def test_clean_files_never_reach_the_cell_by_cell_parse(tmp_path, monkeypatch):
+    # exact missing tokens, padded and underscored numbers and a one-cause
+    # file all convert whole rows; only a rejected file is parsed cell by cell
+    def refuse(*args):
+        raise AssertionError("parsed cell by cell")
+
+    monkeypatch.setattr(dataset, "_parse_cell", refuse)
+    m, y, x = load_csv(write(tmp_path, LOAD_CASES["clean"]), outcome="y", covariates=["w"])
+    assert m.missing.sum() == 2 and y.tolist() == [3.0, 4.0]
+    assert x.values.tolist() == [[0.5], [0.25]]
+    m, _, _ = load_csv(write(tmp_path, "id,a\nu1, 2.5 \nu2,1_000\nu3,NA\n"))
+    assert m.values[:2, 0].tolist() == [2.5, 1000.0] and m.missing[2, 0]
+    with pytest.raises(AssertionError, match="cell by cell"):
+        load_csv(write(tmp_path, LOAD_CASES["padded-na"]))
+
+
+@pytest.mark.parametrize("case", ["clean", "duplicate-after-bad-cell", "padded-na"])
+def test_load_csv_reads_a_pipe_once(tmp_path, case):
+    # a pipe cannot be read a second time, so it is parsed cell by cell
+    text = LOAD_CASES[case].encode()
+    read_end, write_end = os.pipe()
+    os.write(write_end, text)  # far below a pipe's buffer
+    os.close(write_end)
+    try:
+        verdict = load_verdict(load_csv, f"/dev/fd/{read_end}", outcome="y", covariates=["w"])
+    finally:
+        os.close(read_end)
+    path = write(tmp_path, LOAD_CASES[case])
+    assert verdict == load_verdict(oracle_load_csv, path, outcome="y", covariates=["w"])
+
+
+LOAD_TOKENS = ["1", "-0.0", " 2.5 ", "1_000", "", "NA", " NA ", " ", "nan", "inf", "1e400", "x"]
+# mostly numbers, so that about half the files load
+LOAD_CELLS = st.sampled_from(LOAD_TOKENS[:4] * 20 + LOAD_TOKENS)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(st.lists(LOAD_CELLS, min_size=4, max_size=4), min_size=1, max_size=6),
+    st.integers(0, 11),  # the row that repeats the id before it, if there is one
+    st.integers(0, 11),  # the row that loses a cell, if there is one
+    st.sampled_from([{"outcome": "y", "covariates": ["w"]}, {"outcome": "y"}, {}]),
+)
+def test_load_csv_matches_the_cell_by_cell_loader_on_drawn_files(
+    tmp_path_factory, rows, repeat, ragged, roles
+):
+    ids = ["u1", "", " u3", "u4", "u5", "u6"]
+    if 0 < repeat < len(ids):
+        ids[repeat] = ids[repeat - 1] + " "  # the same id once stripped
+    lines = [
+        ",".join([uid, *cells[: 3 if i == ragged else 4]])
+        for i, (uid, cells) in enumerate(zip(ids, rows))
+    ]
+    path = tmp_path_factory.mktemp("load") / "data.csv"
+    path.write_text(HEADER + "".join(line + "\n" for line in lines))
+    path = str(path)
+    assert load_verdict(load_csv, path, **roles) == load_verdict(oracle_load_csv, path, **roles)
 
 
 def test_cause_matrix_validation():
