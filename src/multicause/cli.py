@@ -24,16 +24,25 @@ gate failure; 3 numeric failure (rank deficiency, non-convergence).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .dataset import (
     CauseMatrix,
     CovariateMatrix,
     HoldoutMask,
+    check_corr_threshold,
+    check_holdout_rate,
     check_overlap,
     correlation_screen,
     load_csv,
@@ -42,6 +51,7 @@ from .dataset import (
     write_csv,
 )
 from .effects import (
+    check_split,
     estimate_effects_causal,
     estimate_effects_noncausal,
     predictive_comparison,
@@ -106,7 +116,7 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
         "package_version": __version__,
         "parameters": parameters,
     }
-    body["hash"] = hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    body["hash"] = sha256(canonical_json(body).encode()).hexdigest()
     _write_json(out, "manifest.json", body)
     if report is not None:
         _write_json(out, "report.json", {"manifest_hash": body["hash"], **report})
@@ -145,7 +155,10 @@ def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
 
 
 def _prepare(args):
-    """Shared ingestion: load -> impute -> standardize -> screen."""
+    """Range-check the screen and holdout flags, then load -> impute -> standardize -> screen."""
+    check_corr_threshold(args.corr_threshold)
+    if hasattr(args, "holdout_rate"):
+        check_holdout_rate(args.holdout_rate)
     m, y, x = _load(args)
     overlap = check_overlap(m)
     m, imputation = _impute(args, m)
@@ -413,6 +426,7 @@ def cmd_robustness(args, out: str) -> int:
 
 
 def cmd_compare_predictive(args, out: str) -> int:
+    check_split(args.split)
     m, y, x, prep = _prepare(args)
     _, model, z = _surrogates(args, m)
     comparison = predictive_comparison(m, z, y, x, split=args.split, seed=args.seed)

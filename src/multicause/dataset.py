@@ -362,6 +362,12 @@ def standardize(m: CauseMatrix) -> tuple[CauseMatrix, Standardization]:
     return m.with_values((m.values - mean) / scale), Standardization(mean=mean, scale=scale)
 
 
+def check_corr_threshold(threshold: float) -> None:
+    """A correlation screen's threshold must lie in (0, 1], NaN excluded."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError("correlation threshold must lie in (0, 1]")
+
+
 def correlation_screen(
     m: CauseMatrix, threshold: float = 0.7
 ) -> tuple[CauseMatrix, list[str]]:
@@ -373,8 +379,7 @@ def correlation_screen(
     """
     if m.has_missing:
         raise ValidationError("correlation screen requires a complete matrix")
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError("correlation threshold must lie in (0, 1]")
+    check_corr_threshold(threshold)
     if m.n_causes == 1:
         return m, []
     corr = np.corrcoef(m.values, rowvar=False)
@@ -404,20 +409,52 @@ def correlation_screen(
     return m.take_columns(remaining), dropped
 
 
-def make_holdout(m: CauseMatrix, rate: float = 0.2, seed: int = 0) -> HoldoutMask:
-    """Hide floor(rate * D) entries per row, at least 1 and at most D - 1."""
-    if m.n_causes < 2:
-        raise ValidationError("holdout requires at least 2 cause columns")
+def _hash64(*words):
+    """64 random bits keyed on uint64 words (arrays broadcast), with no generator.
+
+    From h = 0, each word w sets h = mix(h ^ w), with mix SplitMix64's output
+    step (Steele, Lea & Flood, OOPSLA 2014), a bijection. So a draw depends on
+    its words only, and draws that differ only in the last word never tie.
+    """
+    h = np.uint64(0)
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
+        for w in words:
+            x = (h ^ np.asarray(w, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            h = x ^ (x >> np.uint64(31))
+    return h
+
+
+def _unit_keys(unit_ids: list[str]) -> np.ndarray:
+    """A uint64 key per unit id: `_hash64` of the id's UTF-8 byte count, then of
+    its bytes as zero-padded little-endian 8-byte words."""
+    raw = [uid.encode() for uid in unit_ids]
+    words = np.array(raw, dtype=f"S{8 * max(1, -(-max(map(len, raw)) // 8))}").view("<u8")
+    return _hash64([len(b) for b in raw], *words.reshape(len(raw), -1).T)
+
+
+def check_holdout_rate(rate: float) -> None:
+    """A holdout rate must lie strictly in (0, 1), NaN excluded."""
     if not 0.0 < rate < 1.0:
         raise ValidationError("holdout rate must lie strictly in (0, 1)")
-    n, d = m.values.shape
+
+
+def make_holdout(m: CauseMatrix, rate: float = 0.2, seed: int = 0) -> HoldoutMask:
+    """Hide floor(rate * D) entries per row, at least 1 and at most D - 1.
+
+    A row hides its columns j with the smallest `_hash64(seed, unit key, j)`,
+    the key hashed from the unit's id. So a unit's mask row follows its id:
+    a reordered matrix or a row subset gives every unit the same mask row.
+    """
+    if m.n_causes < 2:
+        raise ValidationError("holdout requires at least 2 cause columns")
+    check_holdout_rate(rate)
+    d = m.n_causes
     per_row = min(max(int(rate * d), 1), d - 1)
-    rng = np.random.default_rng(seed)
-    # rank random draws per row; the smallest `per_row` become held
-    order = np.argsort(rng.random((n, d)), axis=1)
-    held = np.zeros((n, d), dtype=bool)
-    np.put_along_axis(held, order[:, :per_row], True, axis=1)
-    return HoldoutMask(held)
+    draws = _hash64(seed, _unit_keys(m.unit_ids)[:, None], np.arange(d))
+    # a row's draws never tie, so exactly `per_row` are at most its per_row-th smallest
+    return HoldoutMask(draws <= np.partition(draws, per_row - 1, axis=1)[:, [per_row - 1]])
 
 
 def check_overlap(m: CauseMatrix) -> OverlapReport:

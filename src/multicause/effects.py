@@ -230,6 +230,12 @@ def estimate_effects_noncausal(
     return _estimate(a, None, y, x)
 
 
+def check_split(split: float) -> None:
+    """A test fraction must lie strictly in (0, 1), NaN excluded."""
+    if not 0.0 < split < 1.0:
+        raise ValidationError("split must lie strictly in (0, 1)")
+
+
 def predictive_comparison(
     a: CauseMatrix,
     z: np.ndarray,
@@ -243,8 +249,7 @@ def predictive_comparison(
     `split` is the test fraction of a seeded shuffle split; both models
     are fitted on the same training rows and scored on the same test rows.
     """
-    if not 0.0 < split < 1.0:
-        raise ValidationError("split must lie strictly in (0, 1)")
+    check_split(split)
     yv = _as_vector(y)
     causal, naive = outcome_design(a, z, x, yv)[0], outcome_design(a, None, x, yv)[0]
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CauseMatrix, HoldoutMask
+from .dataset import CauseMatrix, HoldoutMask, _hash64
 from .errors import NumericError, ValidationError
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -149,8 +149,9 @@ def _require_complete(m: CauseMatrix, what: str) -> None:
 def _init_params(
     x: np.ndarray, observed: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    # Seeded Gaussian loadings scaled to the data; noise starts at half
-    # the average column variance so EM can shrink or grow it freely.
+    # Gaussian loadings scaled to the data; noise starts at half the average
+    # column variance so EM can shrink or grow it freely. Loading (j, f) is a
+    # Box-Muller normal from the 32-bit halves of `_hash64(seed, j, f)`.
     d = x.shape[1]
     col_var = np.array(
         [np.var(x[observed[:, j], j]) for j in range(d)], dtype=float
@@ -158,9 +159,10 @@ def _init_params(
     avg_var = float(col_var.mean())
     if avg_var <= 0:
         raise NumericError("cause matrix has no variance to model")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((d, k)) * math.sqrt(avg_var / k)
-    return w, 0.5 * avg_var
+    high, low = np.divmod(_hash64(seed, np.arange(d)[:, None], np.arange(k)), np.uint64(2**32))
+    u1, u2 = (high + 1.0) / 2**32, low / 2**32  # u1 in (0, 1], u2 in [0, 1)
+    normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    return normal * math.sqrt(avg_var / k), 0.5 * avg_var
 
 
 def closed_form_max_loglik(m: CauseMatrix, k: int) -> float:

@@ -818,6 +818,34 @@ def test_probability_flags_outside_their_range_are_rejected(
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, label",
+    [
+        ("compare-predictive", "--split", 1.5, "effects"),
+        ("compare-predictive", "--split", 0, "effects"),
+        ("effects", "--holdout-rate", 2, "dataset"),
+        ("fit-ppca", "--holdout-rate", 0, "dataset"),
+        ("robustness", "--holdout-rate", "nan", "dataset"),
+        ("effects", "--corr-threshold", 0, "dataset"),
+        ("fit-ppca", "--corr-threshold", 1.5, "dataset"),
+        ("compare-predictive", "--corr-threshold", "nan", "dataset"),
+    ],
+)
+def test_stage_flags_are_range_checked_before_the_load(
+    command, flag, value, label, sparse_data, tmp_path, capsys
+):
+    # the input has missing causes, so a check made after the load would
+    # follow MICE's unconverged warning
+    argv = [command, "--input", sparse_data / "data.csv", "--outcome", "popularity"]
+    argv += ["--seed", 0, flag, value]
+    assert run(*argv, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{label}] ") and "must lie" in err
+    argv[2] = tmp_path / "absent.csv"
+    assert run(*argv, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("outcome, k", [("popularity", 5), ("rating", 8), (None, 5)])
 def test_default_k_follows_the_outcome_column_name(outcome, k, sparse_data, tmp_path):
     data = tmp_path / "data.csv"

@@ -484,6 +484,61 @@ def test_holdout_counts_and_bounds():
     assert not np.array_equal(mask.held, other.held)
 
 
+def splitmix64_chain(*words):
+    """`dataset._hash64` over Python ints: SplitMix64's output step, chained."""
+    h = 0
+    for w in words:
+        x = ((h ^ w) + 0x9E3779B97F4A7C15) % 2**64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % 2**64
+        h = x ^ (x >> 31)
+    return h
+
+
+@pytest.mark.parametrize(
+    "seed, key, column",
+    [(0, 0, 0), (2**64 - 1, 0, 3), (7, 2**64 - 1, 0), (12345, 0x0123456789ABCDEF, 29)],
+)
+def test_hash64_matches_the_python_int_reference(seed, key, column):
+    expected = splitmix64_chain(seed, key, column)
+    assert int(dataset._hash64(seed, np.uint64(key), column)) == expected
+    # the same triple inside a broadcast block
+    block = dataset._hash64(seed, np.array([[1], [key]], dtype=np.uint64), np.arange(column + 1))
+    assert block.dtype == np.uint64 and int(block[1, column]) == expected
+
+
+def test_hash64_pins_splitmix64():
+    # SplitMix64 seeded with 0 (Vigna's splitmix64.c) first outputs
+    # 0xE220A8397B1DCDAF; one word from h = 0 is that step
+    assert splitmix64_chain(0) == 0xE220A8397B1DCDAF == int(dataset._hash64(0))
+
+
+def test_unit_keys_chain_the_id_bytes():
+    ids = ["", "u1", "a\0", "a", "exactly8", "nine char", "naïve", "x" * 23]
+    keys = dataset._unit_keys(ids)
+    for uid, key in zip(ids, keys.tolist()):
+        raw = uid.encode()
+        width = 8 * max(1, -(-max(len(u.encode()) for u in ids) // 8))
+        words = [int.from_bytes(raw.ljust(width, b"\0")[i:i + 8], "little")
+                 for i in range(0, width, 8)]
+        assert key == splitmix64_chain(len(raw), *words)
+    assert len(set(keys.tolist())) == len(ids)  # "a" and "a\0" differ by length
+
+
+def test_holdout_rows_follow_unit_ids():
+    rng = np.random.default_rng(8)
+    n, d = 200, 12
+    ids = [f"unit-{i:04d}" for i in range(n)]
+    m = CauseMatrix(rng.standard_normal((n, d)), [f"c{j}" for j in range(d)], ids)
+    held = make_holdout(m, rate=0.25, seed=11).held
+    assert len(np.unique(held, axis=0)) > 50  # the rows do not share one pattern
+    reversed_m = CauseMatrix(m.values[::-1], m.column_names, ids[::-1])
+    assert np.array_equal(make_holdout(reversed_m, rate=0.25, seed=11).held, held[::-1])
+    rows = rng.choice(n, size=37, replace=False)
+    subset = CauseMatrix(m.values[rows], m.column_names, [ids[i] for i in rows])
+    assert np.array_equal(make_holdout(subset, rate=0.25, seed=11).held, held[rows])
+
+
 def test_holdout_never_hides_a_full_row():
     rng = np.random.default_rng(4)
     m = CauseMatrix(rng.standard_normal((50, 2)), ["a", "b"], [str(i) for i in range(50)])

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
+from test_dataset import splitmix64_chain
 from multicause.errors import NumericError, ValidationError
 import multicause.ppca as ppca
 from multicause.ppca import (
@@ -344,6 +345,37 @@ def test_model_rejects_non_finite_parameters():
 
 def test_default_latent_dimensions():
     assert DEFAULT_K == {"rating": 10, "popularity": 5, "custom": 5}
+
+
+def test_em_start_is_keyed_on_seed_column_and_factor():
+    rng = np.random.default_rng(21)
+    n, d, k = 150, 7, 3
+    x = rng.standard_normal((n, d)) * 3.0 + 1.0
+    observed = rng.random((n, d)) > 0.2
+    w, s2 = _init_params(x, observed, k, seed=2**64 - 1)
+    avg_var = np.mean([np.var(x[observed[:, j], j]) for j in range(d)])
+    assert s2 == pytest.approx(0.5 * avg_var, rel=1e-14)
+    for j in range(d):
+        for f in range(k):
+            # Box-Muller on the two 32-bit halves of SplitMix64(seed, column, factor)
+            h = splitmix64_chain(2**64 - 1, j, f)
+            u1, u2 = ((h >> 32) + 1) / 2**32, (h & 0xFFFFFFFF) / 2**32
+            normal = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            assert w[j, f] == pytest.approx(normal * math.sqrt(avg_var / k), rel=1e-12)
+    # the rows' order does not move the start
+    perm = rng.permutation(n)
+    w_perm, s2_perm = _init_params(x[perm], observed[perm], k, seed=2**64 - 1)
+    assert np.allclose(w_perm, w, rtol=1e-13, atol=0) and s2_perm == pytest.approx(s2, rel=1e-13)
+
+
+def test_em_start_draws_standard_normals():
+    ones = np.ones((2, 100), dtype=bool)
+    x = np.array([[0.0] * 100, [2.0] * 100])  # every column's variance is 1
+    w, _ = _init_params(x, ones, 100, seed=3)
+    draws = w.ravel() * 10.0  # undo sqrt(avg_var / K) = 0.1
+    assert scipy.stats.kstest(draws, "norm").pvalue > 1e-3
+    assert abs(draws.mean()) < 0.04 and abs(draws.std() - 1.0) < 0.03
+    assert not np.array_equal(_init_params(x, ones, 100, seed=4)[0], w)
 
 
 @st.composite
