@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from array import array
 from collections.abc import Sequence
@@ -424,6 +425,57 @@ def _hash64(*words):
             x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             h = x ^ (x >> np.uint64(31))
     return h
+
+
+def _rng_permutation(n: int, seed: int) -> np.ndarray:
+    """numpy's `default_rng(seed).permutation(n)`, replayed in Python ints.
+
+    So numpy.random, and the OpenSSL it loads through `secrets`, stay unloaded.
+    SeedSequence hashes the seed's 32-bit words into 4 uint64 that seed PCG64
+    (O'Neill 2014); each XSL-RR output gives two 32-bit draws, low half first;
+    `random_interval(i)` masks a draw to i's bit length and rejects it above i;
+    the shuffle swaps element i with it for i = n-1 down to 1. A test pins this
+    to numpy's generator, so a numpy release that changes the stream fails it.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    m32, m64, m128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    mixing, output = [0x43B0D7E5, 0x931E8875], [0x8B51F9DD, 0x58F38DED]
+
+    def hashmix(v, h):  # h = [hash constant, its multiplier]; the constant advances
+        v, h[0] = v ^ h[0], h[0] * h[1] & m32
+        v = v * h[0] & m32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0, mixing) for i in range(4)]
+    for s, d in itertools.permutations(range(4), 2):
+        pool[d] = mix(pool[d], hashmix(pool[s], mixing))
+    for w, d in itertools.product(words[4:], range(4)):
+        pool[d] = mix(pool[d], hashmix(w, mixing))
+    # generate_state(4, uint64): 8 uint32 words, each pair little-endian
+    out = [hashmix(pool[i % 4], output) for i in range(8)]
+    s0, s1, i0, i1 = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
+    # PCG64 seeding: inc = 2 * sequence + 1; from state 0, step, add the seed, step
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (i0 << 65 | i1 << 1 | 1) & m128
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
+    perm, spare = list(range(n)), None
+    for i in range(n - 1, 0, -1):
+        mask, j = (1 << i.bit_length()) - 1, n  # draw until j <= i
+        while j > i:
+            if spare is None:  # step the LCG; use the output's low half, keep its high
+                state = (state * mult + inc) & m128
+                x, r = ((state >> 64) ^ state) & m64, state >> 122
+                x = (x >> r | x << (64 - r)) & m64
+                j, spare = x & mask, x >> 32
+            else:
+                j, spare = spare & mask, None
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.intp)
 
 
 def _unit_keys(unit_ids: list[str]) -> np.ndarray:

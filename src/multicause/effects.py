@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CauseMatrix, CovariateMatrix
+from .dataset import CauseMatrix, CovariateMatrix, _rng_permutation
 from .errors import RankDeficiencyError, ValidationError
 from .tdist import t_quantile, t_two_sided_p
 
@@ -246,16 +246,17 @@ def predictive_comparison(
 ) -> dict:
     """Held-out MSE/MAE of the causal versus the non-causal regression.
 
-    `split` is the test fraction of a seeded shuffle split; both models
-    are fitted on the same training rows and scored on the same test rows.
+    `split` is the test fraction of the shuffle split that
+    `default_rng(seed).permutation(n)` draws, as `_rng_permutation`
+    replays it (seed >= 0); both models are fitted on the same training rows
+    and scored on the same test rows.
     """
     check_split(split)
     yv = _as_vector(y)
     causal, naive = outcome_design(a, z, x, yv)[0], outcome_design(a, None, x, yv)[0]
 
     n = a.n_units
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = _rng_permutation(n, seed)
     n_test = max(1, int(split * n))
     test, train = perm[:n_test], perm[n_test:]
     if n_test < causal.shape[1] + 1:

@@ -513,6 +513,40 @@ def test_hash64_pins_splitmix64():
     assert splitmix64_chain(0) == 0xE220A8397B1DCDAF == int(dataset._hash64(0))
 
 
+# 2**200 + 5 has more 32-bit words than SeedSequence's 4-word pool
+RNG_EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 3, 2**200 + 5]
+
+
+def assert_replays_numpy(n, seed):
+    expected = np.random.default_rng(seed).permutation(n)
+    assert dataset._rng_permutation(n, seed).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5000])
+@pytest.mark.parametrize("seed", RNG_EDGE_SEEDS)
+def test_rng_permutation_replays_numpy_at_edge_seeds(seed, n):
+    assert_replays_numpy(n, seed)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 6000))
+def test_rng_permutation_replays_numpy(seed, n):
+    """`_rng_permutation` pins numpy's own `default_rng(seed).permutation(n)`.
+
+    The compare-predictive split is drawn from this replay, and
+    perfbench/verify.py `check_compare` rebuilds it with numpy. If a numpy
+    release changes the SeedSequence, PCG64 or shuffle stream, this test
+    fails here first: the check would then move with numpy while the replay
+    stays put, and a split keyed on unit ids (ROADMAP item 1) is the way out.
+    """
+    assert_replays_numpy(n, seed)
+
+
+def test_rng_permutation_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="non-negative"):
+        dataset._rng_permutation(5, -1)
+
+
 def test_unit_keys_chain_the_id_bytes():
     ids = ["", "u1", "a\0", "a", "exactly8", "nine char", "naïve", "x" * 23]
     keys = dataset._unit_keys(ids)

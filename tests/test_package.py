@@ -3,9 +3,10 @@
 The benchmark harness wraps the functions of the submodules that are loaded
 once `import multicause` returns, so the package import must load them all.
 The README's library example is run as written, so the documented API
-cannot drift from the code. The fitting commands must not load
-`numpy.random` or OpenSSL's hashlib: each costs every run memory and start
-time that a mask, an EM start and one digest do not need.
+cannot drift from the code. The fitting commands, `compare-predictive`
+included, must not load `numpy.random` or OpenSSL's hashlib: each costs
+every run memory and start time that a mask, an EM start, a shuffle split
+and one digest do not need. Only `synth` draws from `numpy.random`.
 """
 
 import json
@@ -64,6 +65,7 @@ def test_fitting_commands_load_neither_numpy_random_nor_hashlib(tmp_path):
         "mediate": ["--input", str(tmp_path / "mediation-partial" / "data.csv"),
                     "--outcome", "popularity", "--mediator", "rating", *fit[4:]],
         "fit-ppca": fit,
+        "compare-predictive": fit,
     }
     probe = (
         "import contextlib, io, json, sys\n"
