@@ -5,8 +5,8 @@ so marginally a ~ N(mu, W W' + s2 I). Fitting is EM with a seeded
 Gaussian start, one loop for complete and masked data alike: each row is
 conditioned on its observed coordinates only (all of them when no mask is
 given), so a model can be fitted without ever seeing the held-out cells.
-With complete data its maximum is cross-checkable against the
-closed-form eigendecomposition solution.
+With complete data its maximum has a closed form from the sample
+spectrum, which the tests hold the fit to.
 
 The EM loop is accelerated by SQUAREM (Varadhan & Roland, Scand. J. Stat.
 2008), scheme SqS3, over theta = (W, log s2). A cycle takes two EM steps
@@ -23,9 +23,13 @@ accepted points only, so it is non-decreasing.
 Everything here rests on the posterior of z given a row's observed block,
 which depends on the row only through its observation pattern g:
 precision M_g = W_g'W_g + s2 I, mean M_g^-1 W_g'(a_g - mu_g), covariance
-s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked call
-and serves the EM; `_posterior` forms the means from it once per call,
-for the surrogates and the check alike.
+s2 M_g^-1. `_precisions` factorizes all patterns' M_g in one stacked
+Cholesky call and inverts the factors by one forward substitution over
+all patterns at once; it serves the EM, and `_posterior` forms the means
+from it once per call, for the surrogates and the check alike. The
+E-step builds its moments from the per-row posterior means m: a
+pattern's sum of E[z z'] is s2 n_g M_g^-1 + sum of m m' over its rows,
+and its quadratic term is the sum of squares ||x - W m||^2 + s2 ||m||^2.
 
 The held-out predictive check is exact: under PPCA the posterior-averaged
 held-out log-likelihood and its predictive distribution have closed forms,
@@ -165,28 +169,6 @@ def _init_params(
     return normal * math.sqrt(avg_var / k), 0.5 * avg_var
 
 
-def closed_form_max_loglik(m: CauseMatrix, k: int) -> float:
-    """Maximum of the PPCA marginal likelihood from the sample spectrum.
-
-    With eigenvalues l_1 >= ... >= l_D of the (1/N) covariance, the
-    optimal noise is the mean of the D-K trailing eigenvalues and the
-    maximum equals -N/2 [D ln 2pi + sum_{j<=K} ln l_j + (D-K) ln s2 + D].
-    """
-    _require_complete(m, "closed-form evaluation")
-    x = m.values
-    n, d = x.shape
-    if not 1 <= k < d:
-        raise ValidationError("need 1 <= K < D")
-    xc = x - x.mean(axis=0)
-    s = xc.T @ xc / n
-    evals = np.linalg.eigvalsh(s)[::-1]
-    s2 = float(evals[k:].mean())
-    if s2 <= 0:
-        raise NumericError("trailing eigenvalues are not positive; reduce K")
-    top = np.maximum(evals[:k], s2)
-    return float(-0.5 * n * (d * _LN_2PI + np.log(top).sum() + (d - k) * math.log(s2) + d))
-
-
 def _observed(mask: HoldoutMask | None, n: int, d: int) -> np.ndarray:
     if mask is None:
         return np.ones((n, d), dtype=bool)
@@ -211,7 +193,13 @@ def _patterns(observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.nda
 
 
 def _precisions(pats: np.ndarray, w: np.ndarray, s2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (M_g^-1, log det M_g) over patterns, from one batched Cholesky of M_g."""
+    """Stacked (M_g^-1, log det M_g) over patterns, from one batched Cholesky of M_g.
+
+    M_g^-1 = L_g^-T L_g^-1, and L_g^-1 comes by forward substitution over
+    all patterns at once, in a (K, K, P) layout: row i of L^-1 is
+    (e_i - sum_{j<i} L_ij row_j) / L_ii, a few elementwise operations on
+    P-vectors per row instead of one LAPACK inversion per pattern.
+    """
     d, k = w.shape
     outer = (w[:, :, None] * w[:, None, :]).reshape(d, k * k)
     m_mat = (pats @ outer).reshape(-1, k, k) + s2 * np.eye(k)
@@ -219,7 +207,17 @@ def _precisions(pats: np.ndarray, w: np.ndarray, s2: float) -> tuple[np.ndarray,
         chol = np.linalg.cholesky(m_mat)
     except np.linalg.LinAlgError:
         raise NumericError("posterior precision lost positive definiteness") from None
-    linv = np.linalg.inv(chol)
+    low = chol.transpose(1, 2, 0).copy()  # low[i, j] holds L_ij of every pattern
+    inv = np.zeros_like(low)
+    for i in range(k):
+        row = inv[i]
+        row[i] = 1.0
+        row -= (low[i, :i, None] * inv[:i]).sum(axis=0)
+        row /= low[i, i]
+    # contiguous, so the product runs in BLAS as before; numpy's loop for
+    # strided stacks is faster here, but with it a `wide` benchmark process
+    # peaked about 0.1 MB higher
+    linv = np.ascontiguousarray(inv.transpose(2, 0, 1))
     minv = linv.transpose(0, 2, 1) @ linv
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return minv, logdet
@@ -271,24 +269,30 @@ def fit_ppca(
     xs = np.concatenate([np.linalg.qr(xg, mode="r") if len(xg) > d else xg for xg in blocks])
     counts = np.array([rows.size for rows in groups])
     sizes = np.minimum(counts, d)
-    starts = np.cumsum(sizes) - sizes
+    pats = pats.astype(float)
+    rows_obs = np.repeat(pats, sizes, axis=0)  # the observed cells of each row of xs
     h = pats.sum(axis=1)
     n_obs = float(observed.sum())
     sum_x2 = float((xc * xc).sum())
     del xc, blocks  # EM needs only xs
 
     def estep(w: np.ndarray, s2: float) -> tuple[np.ndarray, np.ndarray, float]:
-        # A_j = sum over rows observing j of E[z z'], B = sum_i x_i E[z_i]'
+        # A_j = sum over rows observing j of E[z z'], B = sum_i x_i E[z_i]'.
+        # Over a pattern's rows, sum E[z z'] = s2 n_g M_g^-1 + sum_r m_r m_r',
+        # m_r = M_g^-1 W'x_r for each row r of xs (a data row or a row of
+        # R_g); and x'C_g^-1 x, C_g = W_g W_g' + s2 I, is
+        # (||x - W_g m||^2 + s2 ||m||^2) / s2, a sum of squares that does not
+        # cancel as s2 shrinks.
         minv, logdet = _precisions(pats, w, s2)
-        b = xs @ w
-        c = np.add.reduceat(b[:, :, None] * b[:, None, :], starts)  # W_g' S_g W_g
-        means = np.einsum("rkl,rl->rk", np.repeat(minv, sizes, axis=0), b)
-        second = minv @ c @ minv
-        second += (s2 * counts)[:, None, None] * minv
-        a_stats = (pats.T @ second.reshape(-1, k * k)).reshape(d, k, k)
-        quad = sum_x2 - np.einsum("gkl,glk->", minv, c)
-        if quad < 0:  # a sum of squares, lost to rounding when s2 is tiny
-            raise NumericError("noise variance too small to evaluate the log-likelihood")
+        means = np.einsum("rkl,rl->rk", np.repeat(minv, sizes, axis=0), xs @ w)
+        a_stats = (
+            rows_obs.T @ (means[:, :, None] * means[:, None, :]).reshape(-1, k * k)
+            + pats.T @ ((s2 * counts)[:, None, None] * minv).reshape(-1, k * k)
+        ).reshape(d, k, k)
+        resid = means @ w.T  # W m - x on the observed cells, formed in place
+        resid *= rows_obs
+        resid -= xs
+        quad = np.einsum("rd,rd->", resid, resid) + s2 * np.einsum("rk,rk->", means, means)
         ll = -0.5 * (
             counts @ (h * _LN_2PI + (h - k) * math.log(s2) + logdet) + quad / s2
         )

@@ -29,12 +29,12 @@ from multicause.imputation import MiceConfig, impute_mice
 from multicause.mediation import mediate
 from multicause.ppca import (
     PpcaConfig,
-    closed_form_max_loglik,
     fit_ppca,
     posterior_mean_partial,
     predictive_check,
 )
 from multicause.robustness import sweep
+from ppca_oracles import closed_form_max_loglik
 from multicause.synthetic import (
     config_confounded,
     config_flip,

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multicause.dataset import CauseMatrix, HoldoutMask, make_holdout
+from ppca_oracles import closed_form_max_loglik
 from test_dataset import splitmix64_chain
 from multicause.errors import NumericError, ValidationError
 import multicause.ppca as ppca
@@ -27,7 +28,6 @@ from multicause.ppca import (
     DEFAULT_K,
     PpcaConfig,
     PpcaModel,
-    closed_form_max_loglik,
     fit_ppca,
     _init_params,
     _patterns,
@@ -451,6 +451,44 @@ def test_partial_posterior_matches_per_row_solve(problem):
         np.testing.assert_allclose(covs[i], s2 * scipy.linalg.inv(mg), rtol=1e-9, atol=1e-12)
 
 
+def test_fitted_loglik_matches_scipy_at_one_pattern_per_row():
+    # the benchmark's wide shape: nearly every row has its own pattern, so
+    # no block is compressed and each pattern's moments come from one row
+    rng = np.random.default_rng(7)
+    m, _ = sample_ppca(400, rng.standard_normal((30, 5)), 1.0, seed=7)
+    mask = make_holdout(m, rate=0.2, seed=0)
+    observed = ~mask.held
+    assert len(_patterns(observed)[2]) > 390
+    model = fit_ppca(m, 5, PpcaConfig(seed=0), mask=mask)
+    w, mu, s2 = model.loadings, model.mean, model.noise_variance
+    expected = 0.0
+    for i, obs in enumerate(observed):
+        cov = w[obs] @ w[obs].T + s2 * np.eye(int(obs.sum()))
+        expected += scipy.stats.multivariate_normal(mu[obs], cov).logpdf(m.values[i, obs])
+    assert model.log_likelihood == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+@pytest.mark.parametrize("p", [1, 9, 400])
+def test_precisions_match_scipy_inverse_and_slogdet(k, p):
+    rng = np.random.default_rng(100 * k + p)
+    d = 12
+    w = rng.standard_normal((d, k))
+    pats = rng.random((p, d)) < 0.7
+    s2 = 0.1 + rng.random()
+    minv, logdet = ppca._precisions(pats, w, s2)
+    assert minv.shape == (p, k, k) and logdet.shape == (p,)
+    for g, obs in enumerate(pats):
+        mg = w[obs].T @ w[obs] + s2 * np.eye(k)
+        np.testing.assert_allclose(minv[g], scipy.linalg.inv(mg), rtol=1e-10)
+        sign, ref = np.linalg.slogdet(mg)
+        assert sign == 1.0 and logdet[g] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # with s2 < 0 a pattern that observes nothing has M_g = s2 I, not positive definite
+    pats[p // 2] = False
+    with pytest.raises(NumericError, match="^posterior precision lost positive definiteness$"):
+        ppca._precisions(pats, w, -0.5)
+
+
 def test_patterns_match_numpy_unique_across_byte_boundaries():
     rng = np.random.default_rng(0)
     for d in range(2, 71):
@@ -698,14 +736,16 @@ def test_squarem_trace_is_monotone_and_no_worse_than_plain_em(problem, tol):
     assert model.log_likelihood >= reference[-1] - tol * max(1.0, abs(reference[-1]))
 
 
-@pytest.mark.parametrize("seed", [29, 44, 59])
+@pytest.mark.parametrize("seed", [17, 29, 44, 59])
 def test_unbounded_likelihood_never_yields_a_bogus_maximum(seed):
     # K = 6 of 7 columns with a third of the cells held: the fit drifts
     # towards s2 -> 0, and on these seeds SQUAREM extrapolates to s2 near
-    # 1e-15, where the E-step's quadratic term would round below zero and
-    # report a log-likelihood as high as 1e16 for parameters whose true
-    # one is far below zero. The E-step refuses such a point, so the
-    # model returned carries its own log-likelihood.
+    # 1e-15. A quadratic term formed as a difference (sum x'x minus the
+    # part the factors explain) cancels there and can report a
+    # log-likelihood as high as 1e16 for parameters whose true one is far
+    # below zero. The E-step forms it as a sum of squares, so the
+    # likelihood stays accurate, SQUAREM rejects such a point, and the
+    # model returned carries its own log-likelihood to rounding.
     rng = np.random.default_rng(seed)
     m, _ = sample_ppca(61, rng.standard_normal((7, 6)), 0.5, seed)
     held = rng.random((61, 7)) < 0.35
@@ -717,7 +757,7 @@ def test_unbounded_likelihood_never_yields_a_bogus_maximum(seed):
     for i, obs in enumerate(~held):
         cov = w[obs] @ w[obs].T + s2 * np.eye(int(obs.sum()))
         expected += scipy.stats.multivariate_normal(mu[obs], cov).logpdf(m.values[i, obs])
-    assert model.log_likelihood == pytest.approx(expected, rel=1e-6)
+    assert model.log_likelihood == pytest.approx(expected, rel=1e-9)
     assert np.all(np.diff(model.fit_trace) >= 0.0)
 
 
