@@ -134,19 +134,21 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
 
 
 def _load(args):
-    """Read the input CSV once; columns no flag names are causes.
+    """The MICE settings (range-checked first), then the input CSV, read once.
 
-    A --mediator loads as one more covariate column.
+    Columns no flag names are causes; a --mediator loads as one more covariate.
     """
+    mice = MiceConfig(iterations=args.mice_iterations)
     mediator = getattr(args, "mediator", None)
     covariates = _split(args.covariates) + ([mediator] if mediator else [])
-    return load_csv(args.input, args.outcome, covariates, args.id_column, _split(args.ignore))
+    data = load_csv(args.input, args.outcome, covariates, args.id_column, _split(args.ignore))
+    return mice, *data
 
 
-def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
+def _impute(mice: MiceConfig, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
-    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
+    res = impute_mice(m, mice)
     imputation = {
         "ran": True,
         "sweeps": res.sweeps,
@@ -163,9 +165,9 @@ def _prepare(args):
     check_corr_threshold(args.corr_threshold)
     if hasattr(args, "holdout_rate"):
         check_holdout_rate(args.holdout_rate)
-    m, y, x = _load(args)
+    mice, m, y, x = _load(args)
     overlap = check_overlap(m)
-    m, imputation = _impute(args, m)
+    m, imputation = _impute(mice, m)
     m, transform = standardize(m)
     m, dropped = correlation_screen(m, threshold=args.corr_threshold)
     prep = {
@@ -293,8 +295,8 @@ def cmd_synth(args, out: str) -> int:
 
 
 def cmd_impute(args, out: str) -> int:
-    m, y, x = _load(args)
-    m, diagnostics = _impute(args, m)
+    mice, m, y, x = _load(args)
+    m, diagnostics = _impute(mice, m)
     outcomes = {args.outcome: y} if args.outcome else {}
     path = os.path.join(out, "imputed.csv")
     write_csv(path, m, outcomes=outcomes, covariates=x, id_column=args.id_column)

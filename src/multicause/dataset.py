@@ -3,9 +3,10 @@
 Causes live in an N x D matrix in which NaN marks exactly the unobserved
 cells; there is no separate mask, `missing` is read off the NaNs.
 Outcomes are plain 1-D float arrays, one entry per unit and never
-missing. All CSV input is RFC-4180, UTF-8, header required; empty string
-and "NA" denote missing cause entries, and every other cell must parse as
-a finite number (nan and inf are rejected).
+missing. All CSV input is RFC-4180, UTF-8, header required. Cells are
+stripped: "" and "NA" (" NA " too) mark missing cause entries; every other
+cell must parse as a finite number (" 2.5 " reads as 2.5; nan and inf are
+rejected). A bad input raises its first error in row order, with its line.
 """
 
 from __future__ import annotations
@@ -170,69 +171,22 @@ def _parse_cell(text: str, row_line: int, column: str, allow_missing: bool) -> f
     return value
 
 
-def _convert_rows(reader, width: int, numeric: list[int], n_causes: int, id_idx: int | None):
-    """Every row's numeric cells as one (rows, len(numeric)) block, plus the ids.
+def _convert_row(cells: Sequence[str], n_causes: int) -> list[float] | None:
+    """A row's numeric cells (causes first) at C speed, exact missing tokens as NaN.
 
-    Whole rows are converted at C speed: the exact missing tokens become
-    "nan" and every cell goes through `float`. Returns None when any row
-    needs `_parse_cell`'s verdict: a ragged or malformed row, a cell that
-    does not convert, a NaN or inf that no exact token accounts for, a
-    missing outcome or covariate, or a repeated id.
+    None when `_parse_cell` must judge the row: a cell `float` refuses, or a
+    NaN or inf that no exact token in a cause column accounts for.
     """
-    if len(numeric) > 1:
-        take = itemgetter(*numeric)
-    else:  # a one-index itemgetter returns the cell, not a 1-tuple
-        take = itemgetter(slice(numeric[0], numeric[0] + 1))
-    values = array("d")
-    unit_ids: list[str] = []
-    tokens = 0  # cells that are exactly "" or "NA"
     try:
-        for row in reader:
-            if len(row) != width:
-                return None
-            cells = take(row)
-            values.extend(map(float, map(_MISSING_AS_NAN.get, cells, cells)))
-            tokens += cells.count("") + cells.count("NA")
-            if id_idx is not None:
-                unit_ids.append(row[id_idx].strip())
-    except (ValueError, csv.Error):
+        floats = list(map(float, map(_MISSING_AS_NAN.get, cells, cells)))
+    except ValueError:
         return None
-    block = np.frombuffer(values).reshape(-1, len(numeric))
-    nan = np.isnan(block)
-    if np.isinf(block).any() or nan.sum() != tokens or nan[:, n_causes:].any():
-        return None
-    if id_idx is None:
-        unit_ids = [str(i) for i in range(len(block))]
-    elif len(set(unit_ids)) != len(unit_ids):
-        return None
-    return block, unit_ids
-
-
-def _parse_rows(reader, header: list[str], numeric: list[int], n_causes: int, id_idx: int | None):
-    """Cell by cell, as `_convert_rows`, but raising the first error in row order.
-
-    Padded missing tokens (" NA "), which `_convert_rows` refuses, read as missing.
-    """
-    rows: list[list[float]] = []
-    unit_ids: list[str] = []
-    seen_ids: set[str] = set()
-    try:
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
-            # causes first, then the outcome, then the covariates
-            rows.append(
-                [_parse_cell(row[i], line, header[i], j < n_causes) for j, i in enumerate(numeric)]
-            )
-            uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
-            if uid in seen_ids:
-                raise ValidationError(f"line {line}: duplicate unit id '{uid}'")
-            seen_ids.add(uid)
-            unit_ids.append(uid)
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-    return np.array(rows, dtype=float).reshape(-1, len(numeric)), unit_ids
+    if math.isfinite(sum(floats)):  # no token, no NaN, no inf
+        return floats
+    causes = cells[:n_causes]
+    tokens = causes.count("") + causes.count("NA")
+    # each cause token reads as NaN, so equal counts leave no other non-finite cell
+    return floats if list(map(math.isfinite, floats)).count(False) == tokens else None
 
 
 def load_csv(
@@ -248,7 +202,9 @@ def load_csv(
     Every other named column must be in the file, none may be the id
     column, and at least one cause must remain. A column named twice takes
     the later role in the order ignore, covariates, outcome. Missing
-    entries ("" or "NA") are only legal in cause columns.
+    entries ("" or "NA", stripped, so " NA " too) are only legal in cause
+    columns; " 2.5 " reads as 2.5. One loop reads files and pipes alike,
+    and raises the first error in row order with its line.
     """
     roles = dict.fromkeys(ignore, "ignore")
     roles.update(dict.fromkeys(covariates, "covariate"))
@@ -284,17 +240,34 @@ def load_csv(
         numeric = cause_idx + outcome_idx + cov_idx
         n_causes = len(cause_idx)
 
-        parsed = None
-        if handle.seekable():  # a pipe cannot be read twice: parse it cell by cell
-            parsed = _convert_rows(reader, len(header), numeric, n_causes, id_idx)
-            if parsed is None:
-                # some row needs a closer look: read it again, cell by cell
-                handle.seek(0)
-                reader = csv.reader(handle)
-                next(reader)
-        if parsed is None:
-            parsed = _parse_rows(reader, header, numeric, n_causes, id_idx)
-    block, unit_ids = parsed
+        if len(numeric) > 1:
+            take = itemgetter(*numeric)
+        else:  # a one-index itemgetter returns the cell, not a 1-tuple
+            take = itemgetter(slice(numeric[0], numeric[0] + 1))
+        columns = [(i, header[i], j < n_causes) for j, i in enumerate(numeric)]  # for _parse_cell
+        values = array("d")
+        unit_ids: list[str] = []
+        seen: set[str] = set()
+        try:
+            for row in reader:
+                floats = _convert_row(take(row), n_causes) if len(row) == len(header) else None
+                if floats is None:  # raise the row's first error, or read what `float` refused
+                    line = reader.line_num
+                    if len(row) != len(header):
+                        raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+                    floats = [_parse_cell(row[i], line, name, cause) for i, name, cause in columns]
+                values.extend(floats)
+                uid = row[id_idx].strip() if id_idx is not None else str(len(unit_ids))
+                if uid in seen:
+                    raise ValidationError(f"line {reader.line_num}: duplicate unit id '{uid}'")
+                seen.add(uid)
+                unit_ids.append(uid)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+    # free the id set (a 0.5 MB table at n=5k) before the copies below: held,
+    # it moved glibc's mmap threshold, which raised peak RSS 0.35 MB at n=5k
+    del seen
+    block = np.frombuffer(values).reshape(-1, len(numeric))
 
     if len(block) < 2:
         raise ValidationError(f"need at least 2 data rows, got {len(block)}")

@@ -846,6 +846,23 @@ def test_stage_flags_are_range_checked_before_the_load(
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command, value", [("impute", -3), ("effects", 0), ("check", 0)])
+def test_mice_iterations_are_range_checked_before_the_load(
+    command, value, flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    # the input is complete, so MICE never runs: a check made there would
+    # let the bad value through into manifest.json
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
+    argv += ["--mice-iterations", value]
+    assert run(*argv, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [imputation] iterations must be >= 1\n")
+    assert not (tmp_path / "manifest.json").exists()
+    argv[argv.index("--input") + 1] = tmp_path / "absent.csv"
+    assert run(*argv, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("outcome, k", [("popularity", 5), ("rating", 8), (None, 5)])
 def test_default_k_follows_the_outcome_column_name(outcome, k, sparse_data, tmp_path):
     data = tmp_path / "data.csv"

@@ -311,6 +311,7 @@ LOAD_CASES = {
     "multi-line-id": HEADER + 'u1,1,2,3,4\n"u\n2",1,2,3,4\nu3,1,bad,3,4\n',
     "ragged": HEADER + "u1,1,2,3,4\nu2,1,2,3\n",
     "ragged-after-bad-cell": HEADER + "u1,1,oops,3,4\nu2,1,2,3\n",
+    "huge-finite": HEADER + "u1,1.7976931348623157e308,1.7976931348623157e308,3,4\nu2,1,2,3,4\n",
     "one-row-bad-cell": HEADER + "u1,1,oops,3,4\n",
     "one-row": HEADER + "u1,1,2,3,4\n",
     "no-rows": HEADER,
@@ -328,33 +329,44 @@ def test_load_csv_matches_the_cell_by_cell_loader(tmp_path, case):
         assert load_verdict(load_csv, path, **roles) == load_verdict(oracle_load_csv, path, **roles)
 
 
+def load_piped(text, **roles):
+    """`load_verdict` of `text` read from a pipe, which cannot seek."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())  # far below a pipe's buffer
+    os.close(write_end)
+    try:
+        return load_verdict(load_csv, f"/dev/fd/{read_end}", **roles)
+    finally:
+        os.close(read_end)
+
+
 def test_clean_files_never_reach_the_cell_by_cell_parse(tmp_path, monkeypatch):
-    # exact missing tokens, padded and underscored numbers and a one-cause
-    # file all convert whole rows; only a rejected file is parsed cell by cell
+    # exact missing tokens, padded, underscored and huge finite numbers and a
+    # one-cause file all convert whole rows, from a file or a pipe alike; only
+    # a row the conversion refuses is parsed cell by cell
     def refuse(*args):
         raise AssertionError("parsed cell by cell")
 
     monkeypatch.setattr(dataset, "_parse_cell", refuse)
-    m, y, x = load_csv(write(tmp_path, LOAD_CASES["clean"]), outcome="y", covariates=["w"])
+    roles = {"outcome": "y", "covariates": ["w"]}
+    path = write(tmp_path, LOAD_CASES["clean"])
+    m, y, x = load_csv(path, **roles)
     assert m.missing.sum() == 2 and y.tolist() == [3.0, 4.0]
     assert x.values.tolist() == [[0.5], [0.25]]
+    assert load_piped(LOAD_CASES["clean"], **roles) == load_verdict(load_csv, path, **roles)
     m, _, _ = load_csv(write(tmp_path, "id,a\nu1, 2.5 \nu2,1_000\nu3,NA\n"))
     assert m.values[:2, 0].tolist() == [2.5, 1000.0] and m.missing[2, 0]
+    m, _, _ = load_csv(write(tmp_path, LOAD_CASES["huge-finite"]), **roles)
+    assert m.values[0].tolist() == [1.7976931348623157e308] * 2
     with pytest.raises(AssertionError, match="cell by cell"):
         load_csv(write(tmp_path, LOAD_CASES["padded-na"]))
 
 
 @pytest.mark.parametrize("case", ["clean", "duplicate-after-bad-cell", "padded-na"])
 def test_load_csv_reads_a_pipe_once(tmp_path, case):
-    # a pipe cannot be read a second time, so it is parsed cell by cell
-    text = LOAD_CASES[case].encode()
-    read_end, write_end = os.pipe()
-    os.write(write_end, text)  # far below a pipe's buffer
-    os.close(write_end)
-    try:
-        verdict = load_verdict(load_csv, f"/dev/fd/{read_end}", outcome="y", covariates=["w"])
-    finally:
-        os.close(read_end)
+    # a pipe cannot seek, so its one pass must give the file's verdict,
+    # errors and padded tokens included
+    verdict = load_piped(LOAD_CASES[case], outcome="y", covariates=["w"])
     path = write(tmp_path, LOAD_CASES[case])
     assert verdict == load_verdict(oracle_load_csv, path, outcome="y", covariates=["w"])
 

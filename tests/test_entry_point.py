@@ -84,6 +84,26 @@ def test_effects_prints_its_report(data, tmp_path):
     assert proc.stdout == (tmp_path / "report.txt").read_bytes()
 
 
+def test_piped_input_gives_the_file_report(data, tmp_path):
+    # a padded token and an empty cell, so that MICE runs and one row is
+    # parsed cell by cell; stdin is a real pipe, which cannot seek, where
+    # a `<` redirect would hand over the file itself
+    lines = (data / "data.csv").read_text().splitlines()
+    for row, token in ((1, " NA "), (2, "")):
+        cells = lines[row].split(",")
+        lines[row] = ",".join([cells[0], token, *cells[2:]])
+    text = "\n".join(lines) + "\n"
+    (tmp_path / "data.csv").write_text(text)
+    reports = []
+    for out, extra, stdin in (("file", [], None), ("piped", ["--input", "/dev/stdin"], text)):
+        proc = cli(*effects(tmp_path, tmp_path / out, *extra), input=stdin, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        reports.append({k: v for k, v in report.items() if k != "manifest_hash"})
+    assert reports[0] == reports[1]
+    assert reports[0]["imputation"]["ran"]
+
+
 def test_exit_handlers_run_after_the_command(tmp_path):
     probe = (
         "import atexit, sys\n"
