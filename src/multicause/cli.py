@@ -11,6 +11,9 @@ Subcommands:
   robustness          cause-addition sweep with sign-flip detection
   compare-predictive  held-out MSE/MAE of causal vs non-causal regression
 
+Single-flag range checks run as the flags are parsed, before --out is made
+or the input read; checks across flags or against the data run in the command.
+
 Every run writes manifest.json recording every parsed flag but --out
 (-k as `k_requested`), the resolved K, and a sha256 hash; reports embed
 the hash so tables are traceable to exact configs.
@@ -68,6 +71,7 @@ from .ppca import (
     DEFAULT_K,
     PpcaConfig,
     PpcaModel,
+    check_latent_dim,
     check_threshold,
     fit_ppca,
     posterior_mean_partial,
@@ -134,21 +138,16 @@ def _finish(args, out: str, report: dict | None, *text: str) -> None:
 
 
 def _load(args):
-    """The MICE settings (range-checked first), then the input CSV, read once.
-
-    Columns no flag names are causes; a --mediator loads as one more covariate.
-    """
-    mice = MiceConfig(iterations=args.mice_iterations)
+    """The input CSV, read once: columns no flag names are causes, a --mediator a covariate."""
     mediator = getattr(args, "mediator", None)
     covariates = _split(args.covariates) + ([mediator] if mediator else [])
-    data = load_csv(args.input, args.outcome, covariates, args.id_column, _split(args.ignore))
-    return mice, *data
+    return load_csv(args.input, args.outcome, covariates, args.id_column, _split(args.ignore))
 
 
-def _impute(mice: MiceConfig, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
+def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
-    res = impute_mice(m, mice)
+    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
     imputation = {
         "ran": True,
         "sweeps": res.sweeps,
@@ -161,28 +160,26 @@ def _impute(mice: MiceConfig, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
 
 
 def _prepare(args):
-    """Range-check the screen and holdout flags, then load -> impute -> standardize -> screen."""
-    check_corr_threshold(args.corr_threshold)
-    if hasattr(args, "holdout_rate"):
-        check_holdout_rate(args.holdout_rate)
-    mice, m, y, x = _load(args)
+    """Load -> impute -> standardize -> screen; returns the report with each stage's block."""
+    m, y, x = _load(args)
     overlap = check_overlap(m)
-    m, imputation = _impute(mice, m)
+    m, imputation = _impute(args, m)
     m, transform = standardize(m)
     m, dropped = correlation_screen(m, threshold=args.corr_threshold)
-    prep = {
-        "overlap": {"passed": overlap.passed, "failing_rows": overlap.failing_rows},
+    report = {
+        "overlap": overlap,
         "imputation": imputation,
         "screen": {"kept": list(m.column_names), "dropped": dropped},
         "standardization": transform,
     }
-    return m, y, x, prep
+    return m, y, x, report
 
 
-def _surrogates(args, m: CauseMatrix):
+def _surrogates(args, m: CauseMatrix, report: dict):
     """Resolve K, hold out entries, fit the factor model, infer the latents.
 
-    The resolved K is stored as `args.k` for the manifest.
+    The resolved K is stored as `args.k` for the manifest, and how EM went
+    as `report["em"]`, warned on stderr if it did not converge.
     """
     args.k = args.k_requested
     if args.k is None:
@@ -190,16 +187,9 @@ def _surrogates(args, m: CauseMatrix):
         args.k = min(DEFAULT_K.get(args.outcome, DEFAULT_K["custom"]), m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
     model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
-    _warn({"em": _em_health(model)})
+    report["em"] = {f: getattr(model, f) for f in ("iterations", "converged", "log_likelihood")}
+    _warn({"em": report["em"]})
     return mask, model, posterior_mean_partial(model, m, mask)
-
-
-def _em_health(model: PpcaModel) -> dict:
-    return {
-        "iterations": model.iterations,
-        "converged": model.converged,
-        "log_likelihood": model.log_likelihood,
-    }
 
 
 def _health_warnings(report: dict) -> list[str]:
@@ -295,8 +285,8 @@ def cmd_synth(args, out: str) -> int:
 
 
 def cmd_impute(args, out: str) -> int:
-    mice, m, y, x = _load(args)
-    m, diagnostics = _impute(mice, m)
+    m, y, x = _load(args)
+    m, diagnostics = _impute(args, m)
     outcomes = {args.outcome: y} if args.outcome else {}
     path = os.path.join(out, "imputed.csv")
     write_csv(path, m, outcomes=outcomes, covariates=x, id_column=args.id_column)
@@ -314,10 +304,10 @@ def cmd_impute(args, out: str) -> int:
 
 
 def cmd_fit_ppca(args, out: str) -> int:
-    m, _, _, prep = _prepare(args)
-    mask, model, _ = _surrogates(args, m)
+    m, _, _, report = _prepare(args)
+    mask, model, _ = _surrogates(args, m, report)
     _save_fit(args, out, m, mask, model)
-    report = {"em": _em_health(model), "noise_variance": model.noise_variance, **prep}
+    report["noise_variance"] = model.noise_variance
     _finish(
         args,
         out,
@@ -330,7 +320,6 @@ def cmd_fit_ppca(args, out: str) -> int:
 
 
 def cmd_check(args, out: str) -> int:
-    check_threshold(args.check_threshold)
     m, _, _, prep = _prepare(args)
     model = _load_model(args.model, m)
     mask = HoldoutMask.from_dict(_read_json(args.mask, "mask"), m.values.shape)
@@ -349,9 +338,8 @@ def cmd_check(args, out: str) -> int:
 
 
 def cmd_effects(args, out: str) -> int:
-    check_threshold(args.check_threshold)
-    m, y, x, prep = _prepare(args)
-    mask, model, z = _surrogates(args, m)
+    m, y, x, report = _prepare(args)
+    mask, model, z = _surrogates(args, m, report)
     result = predictive_check(model, m, mask, threshold=args.check_threshold)
     if not result.passed:
         if not args.force:
@@ -364,13 +352,7 @@ def cmd_effects(args, out: str) -> int:
     causal = estimate_effects_causal(m, z, y, x)
     noncausal = estimate_effects_noncausal(m, y, x)
     _save_fit(args, out, m, mask, model)
-    report = {
-        "predictive_check": result,
-        "causal": causal,
-        "noncausal": noncausal,
-        "em": _em_health(model),
-        **prep,
-    }
+    report.update(predictive_check=result, causal=causal, noncausal=noncausal)
     shown = ["Intercept"] + list(m.column_names)
     verdict = "passed" if result.passed else "FAILED (forced)"
     _finish(
@@ -392,21 +374,20 @@ def cmd_mediate(args, out: str) -> int:
         raise ValidationError("mediator and outcome must be different columns")
     if args.mediator in _split(args.covariates):
         raise ValidationError("the mediator cannot also be a covariate")
-    check_mediation_alpha(args.alpha)
-    m, y, x, prep = _prepare(args)
+    m, y, x, report = _prepare(args)
     # the mediator was loaded as one more covariate; split it off
     j = x.column_names.index(args.mediator)
     r = x.values[:, j]
     rest = [i for i in range(len(x.column_names)) if i != j]
     x = CovariateMatrix(x.values[:, rest], [x.column_names[i] for i in rest]) if rest else None
-    _, model, z = _surrogates(args, m)
-    report = mediate(m, z, r, y, x, alpha=args.alpha)
+    _, _, z = _surrogates(args, m, report)
+    result = mediate(m, z, r, y, x, alpha=args.alpha)
     _finish(
         args,
         out,
-        {**report.to_dict(), "em": _em_health(model), **prep},
+        {**result.to_dict(), **report},
         f"mediation of '{args.outcome}' through '{args.mediator}'",
-        render_mediation_table(report, alpha=args.alpha),
+        render_mediation_table(result, alpha=args.alpha),
     )
     return 0
 
@@ -414,7 +395,6 @@ def cmd_mediate(args, out: str) -> int:
 def cmd_robustness(args, out: str) -> int:
     if _split(args.covariates):  # the sweep regresses on causes and surrogates only
         raise ValidationError("robustness takes no --covariates; drop those columns with --ignore")
-    check_sweep_alpha(args.alpha)
     m, y, _, report = _prepare(args)
     order = _split(args.order) or None
     paragraphs = []
@@ -422,8 +402,7 @@ def cmd_robustness(args, out: str) -> int:
         if args.mode in (label, "both"):
             z = None
             if label == "causal":
-                _, model, z = _surrogates(args, m)
-                report["em"] = _em_health(model)
+                _, _, z = _surrogates(args, m, report)
             table = sweep(m, y, z=z, order=order, alpha=args.alpha)
             report[label] = table
             paragraphs += [f"{label} sweep", render_sweep_table(table)]
@@ -432,14 +411,13 @@ def cmd_robustness(args, out: str) -> int:
 
 
 def cmd_compare_predictive(args, out: str) -> int:
-    check_split(args.split)
-    m, y, x, prep = _prepare(args)
-    _, model, z = _surrogates(args, m)
+    m, y, x, report = _prepare(args)
+    _, _, z = _surrogates(args, m, report)
     comparison = predictive_comparison(m, z, y, x, split=args.split, seed=args.seed)
     _finish(
         args,
         out,
-        {"comparison": comparison, "em": _em_health(model), **prep},
+        {"comparison": comparison, **report},
         f"held-out prediction of '{args.outcome}' (test fraction {args.split:g})",
         render_comparison_table(comparison),
     )
@@ -452,6 +430,17 @@ def cmd_compare_predictive(args, out: str) -> int:
 
 def _flag(*names: str, **kwargs):
     return names, kwargs
+
+
+def _checked(kind, check):
+    """`kind(text)`, then a stage's range `check`; named as `kind` for argparse's errors."""
+
+    def parse(text: str):
+        check(value := kind(text))
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -480,16 +469,17 @@ _INPUT = [
     _flag("--id-column", default="id", help="unit id column (default: id)"),
     _flag("--covariates", default="", help="comma-separated covariate columns"),
     _flag("--ignore", default="", help="comma-separated columns to drop"),
-    _flag("--mice-iterations", type=int, default=10),
+    _flag("--mice-iterations", type=_checked(int, MiceConfig), default=10),
 ]
 _OPTIONAL_OUTCOME = _flag("--outcome", default=None, help="outcome column name (optional)")
 _IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _OUT]
-_PREPARE = [*_INPUT, _flag("--corr-threshold", type=float, default=0.7), _OUT]
+_CORR = _flag("--corr-threshold", type=_checked(float, check_corr_threshold), default=0.7)
+_PREPARE = [*_INPUT, _CORR, _OUT]
 _FIT = [
-    _flag("-k", "--latent-dim", dest="k_requested", type=int, default=None),
-    _flag("--holdout-rate", type=float, default=0.2),
+    _flag("-k", "--latent-dim", dest="k_requested", type=_checked(int, check_latent_dim)),
+    _flag("--holdout-rate", type=_checked(float, check_holdout_rate), default=0.2),
 ]
-_CHECK = _flag("--check-threshold", type=float, default=0.1)
+_CHECK = _flag("--check-threshold", type=_checked(float, check_threshold), default=0.1)
 _SAVED = [
     _flag("--model", required=True, help="model.json from fit-ppca"),
     _flag("--mask", required=True, help="holdout.json from fit-ppca"),
@@ -500,10 +490,11 @@ _ANALYSIS = [
 ]
 _FORCE = _flag("--force", action="store_true", help="proceed past a failed check")
 _MEDIATOR = _flag("--mediator", required=True, help="mediator column name")
-_ALPHA = _flag("--alpha", type=float, default=0.05)
+_MED_ALPHA = _flag("--alpha", type=_checked(float, check_mediation_alpha), default=0.05)
+_SWEEP_ALPHA = _flag("--alpha", type=_checked(float, check_sweep_alpha), default=0.05)
 _MODE = _flag("--mode", choices=("causal", "noncausal", "both"), default="both")
 _ORDER = _flag("--order", default="", help="comma-separated cause addition order")
-_SPLIT = _flag("--split", type=float, default=0.2)
+_SPLIT = _flag("--split", type=_checked(float, check_split), default=0.2)
 
 
 # name -> (function, help text, flags)
@@ -522,10 +513,10 @@ COMMANDS = {
     ),
     "effects": (cmd_effects, "full causal effect pipeline", [*_ANALYSIS, _CHECK, _FORCE]),
     "mediate": (
-        cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _ALPHA]
+        cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _MED_ALPHA]
     ),
     "robustness": (
-        cmd_robustness, "cause-addition sign-flip sweep", [*_ANALYSIS, _MODE, _ORDER, _ALPHA]
+        cmd_robustness, "cause-addition sign-flip sweep", [*_ANALYSIS, _MODE, _ORDER, _SWEEP_ALPHA]
     ),
     "compare-predictive": (
         cmd_compare_predictive, "held-out MSE/MAE comparison", [*_ANALYSIS, _SPLIT]
@@ -560,8 +551,8 @@ def _origin(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # inside: a flag's range check raises a stage's ValidationError
+        args = build_parser().parse_args(argv)
         command, _, _ = COMMANDS[args.command]
         return command(args, _out_dir(args))
     except MulticauseError as exc:

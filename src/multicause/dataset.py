@@ -3,10 +3,11 @@
 Causes live in an N x D matrix in which NaN marks exactly the unobserved
 cells; there is no separate mask, `missing` is read off the NaNs.
 Outcomes are plain 1-D float arrays, one entry per unit and never
-missing. All CSV input is RFC-4180, UTF-8, header required. Cells are
-stripped: "" and "NA" (" NA " too) mark missing cause entries; every other
-cell must parse as a finite number (" 2.5 " reads as 2.5; nan and inf are
-rejected). A bad input raises its first error in row order, with its line.
+missing. All CSV input is RFC-4180, UTF-8 (a leading byte-order mark is
+skipped), header required. Cells are stripped: "" and "NA" (" NA " too)
+mark missing cause entries; every other cell must parse as a finite number
+(" 2.5 " reads as 2.5; nan and inf are rejected). A bad input raises its
+first error in row order, with its line.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def load_csv(
         raise ValidationError(f"the id column '{id_column}' cannot take another role")
 
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open '{path}': {exc}") from None
     with handle:

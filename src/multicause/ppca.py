@@ -223,6 +223,12 @@ def _precisions(pats: np.ndarray, w: np.ndarray, s2: float) -> tuple[np.ndarray,
     return minv, logdet
 
 
+def check_latent_dim(k: int) -> None:
+    """A latent dimension must be at least 1; `fit_ppca` also checks K < D."""
+    if k < 1:
+        raise ValidationError(f"need 1 <= K < D, got K={k}")
+
+
 def fit_ppca(
     m: CauseMatrix,
     k: int,
@@ -341,9 +347,11 @@ def fit_ppca(
         alpha = min(-float(np.linalg.norm(r)) / v_norm, -1.0) if v_norm > 0 else -1.0
         t = t0 - 2.0 * alpha * r + alpha * alpha * v
         evals += 1
-        try:  # a point thrown far off the data's scale overflows: reject it
+        try:  # a point thrown far off the data's scale over- or underflows: reject it
+            if not (nv := math.exp(t[-1])) > 0:  # log s2 below about -745
+                raise NumericError("extrapolated noise variance underflowed to 0")
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                new = em_point(t[:-1].reshape(d, k), math.exp(t[-1]))
+                new = em_point(t[:-1].reshape(d, k), nv)
         except (NumericError, ArithmeticError):
             new = None
         if new is None or not new[2] >= ll1:

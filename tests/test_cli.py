@@ -863,6 +863,41 @@ def test_mice_iterations_are_range_checked_before_the_load(
     assert capsys.readouterr().err == err
 
 
+def test_latent_dim_below_one_is_rejected_before_the_load(sparse_data, tmp_path, capsys):
+    # the input has missing causes, so a check made by fit_ppca, after the
+    # load, would follow MICE's unconverged warning; no --out is created
+    argv = ["effects", "--input", sparse_data / "data.csv", "--outcome", "popularity"]
+    argv += ["--seed", 0, "-k", 0, "--out", tmp_path / "out"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ppca] need 1 <= K < D, got K=0\n") and "MICE" not in err
+    assert not (tmp_path / "out").exists()
+    argv[2] = tmp_path / "absent.csv"
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [
+        ("mediate", "--alpha", "float"),
+        ("robustness", "--alpha", "float"),
+        ("effects", "-k", "int"),
+        ("impute", "--mice-iterations", "int"),
+        ("compare-predictive", "--split", "float"),
+    ],
+)
+def test_range_checked_flags_keep_argparse_errors_for_bad_text(
+    command, flag, kind, flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir), flag, "abc"]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert f": invalid {kind} value: 'abc'\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("outcome, k", [("popularity", 5), ("rating", 8), (None, 5)])
 def test_default_k_follows_the_outcome_column_name(outcome, k, sparse_data, tmp_path):
     data = tmp_path / "data.csv"

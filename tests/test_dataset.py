@@ -113,6 +113,20 @@ def test_load_roles_follow_the_flags(tmp_path):
     assert m.unit_ids == ["0", "1"] and m.column_names == ["a", "b", "y"]
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF, which must not
+    # become part of the first column's name, from a file or a pipe alike
+    text = "id,a,b,y\nu1,1,2,3\nu2,2,1,4\nu3,3,3,5\n"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    m, y, _ = load_csv(str(marked), outcome="y")
+    assert m.unit_ids == ["u1", "u2", "u3"] and m.column_names == ["a", "b"]
+    assert y.tolist() == [3.0, 4.0, 5.0]
+    plain = load_verdict(load_csv, write(tmp_path, text), outcome="y")
+    assert load_verdict(load_csv, str(marked), outcome="y") == plain
+    assert load_piped("\ufeff" + text, outcome="y") == plain
+
+
 def test_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((20, 3)) * 1e3

@@ -761,6 +761,25 @@ def test_unbounded_likelihood_never_yields_a_bogus_maximum(seed):
     assert np.all(np.diff(model.fit_trace) >= 0.0)
 
 
+@pytest.mark.parametrize("seed", [147, 181])
+def test_extrapolation_whose_noise_variance_underflows_is_rejected(seed):
+    # K = 4 of 5 columns with two cells held on 57 of 60 rows: the fit
+    # drifts towards s2 -> 0, and on these seeds a SqS3 extrapolation puts
+    # log s2 below about -745, where math.exp underflows to 0.0 and the
+    # E-step's log(s2) would raise. Such a point is rejected, as one that
+    # overflows is, and the fit runs on to its E-step cap.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((5, 4))
+    z = rng.standard_normal((60, 4))
+    x = z @ w.T + math.sqrt(0.5) * rng.standard_normal((60, 5))
+    held = np.zeros((60, 5), dtype=bool)
+    for i in range(57):
+        held[i, rng.choice(5, 2, replace=False)] = True
+    model = fit_ppca(matrix_from(x), 4, PpcaConfig(seed=0), mask=HoldoutMask(held))
+    assert not model.converged
+    assert np.all(np.diff(model.fit_trace) >= 0.0)
+
+
 def test_squarem_needs_far_fewer_e_steps_than_plain_em():
     rng = np.random.default_rng(7)
     m, _ = sample_ppca(400, rng.standard_normal((30, 5)), 1.0, seed=7)
