@@ -58,6 +58,7 @@ from .dataset import (
     write_csv,
 )
 from .effects import (
+    check_alpha,
     check_split,
     estimate_effects_causal,
     estimate_effects_noncausal,
@@ -65,7 +66,6 @@ from .effects import (
 )
 from .errors import MulticauseError, PredictiveCheckFailed, ValidationError
 from .imputation import MiceConfig, impute_mice
-from .mediation import check_alpha as check_mediation_alpha
 from .mediation import mediate
 from .ppca import (
     DEFAULT_K,
@@ -77,9 +77,8 @@ from .ppca import (
     posterior_mean_partial,
     predictive_check,
 )
-from .robustness import check_alpha as check_sweep_alpha
 from .robustness import sweep
-from .synthetic import SCENARIOS, generate
+from .synthetic import SCENARIOS, check_missing_rate, check_n_units, generate
 from .tables import (
     canonical_json,
     render_comparison_table,
@@ -459,8 +458,8 @@ _SEED = _flag("--seed", type=_seed, required=True)
 _OUT = _flag("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
 _SYNTH = [
     _flag("--scenario", choices=sorted(SCENARIOS), required=True),
-    _flag("--n", type=int, default=5000, help="number of units"),
-    _flag("--missing-rate", type=float, default=0.0),
+    _flag("--n", type=_checked(int, check_n_units), default=5000, help="number of units"),
+    _flag("--missing-rate", type=_checked(float, check_missing_rate), default=0.0),
     _SEED,
     _OUT,
 ]
@@ -490,8 +489,7 @@ _ANALYSIS = [
 ]
 _FORCE = _flag("--force", action="store_true", help="proceed past a failed check")
 _MEDIATOR = _flag("--mediator", required=True, help="mediator column name")
-_MED_ALPHA = _flag("--alpha", type=_checked(float, check_mediation_alpha), default=0.05)
-_SWEEP_ALPHA = _flag("--alpha", type=_checked(float, check_sweep_alpha), default=0.05)
+_ALPHA = _flag("--alpha", type=_checked(float, check_alpha), default=0.05)
 _MODE = _flag("--mode", choices=("causal", "noncausal", "both"), default="both")
 _ORDER = _flag("--order", default="", help="comma-separated cause addition order")
 _SPLIT = _flag("--split", type=_checked(float, check_split), default=0.2)
@@ -513,10 +511,10 @@ COMMANDS = {
     ),
     "effects": (cmd_effects, "full causal effect pipeline", [*_ANALYSIS, _CHECK, _FORCE]),
     "mediate": (
-        cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _MED_ALPHA]
+        cmd_mediate, "total/direct effects through a mediator", [*_ANALYSIS, _MEDIATOR, _ALPHA]
     ),
     "robustness": (
-        cmd_robustness, "cause-addition sign-flip sweep", [*_ANALYSIS, _MODE, _ORDER, _SWEEP_ALPHA]
+        cmd_robustness, "cause-addition sign-flip sweep", [*_ANALYSIS, _MODE, _ORDER, _ALPHA]
     ),
     "compare-predictive": (
         cmd_compare_predictive, "held-out MSE/MAE comparison", [*_ANALYSIS, _SPLIT]

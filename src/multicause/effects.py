@@ -31,6 +31,12 @@ def significance_tag(p_value: float) -> str:
     return "none"
 
 
+def check_alpha(alpha: float) -> None:
+    """A test level must lie strictly in (0, 1), NaN excluded."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
+
 @dataclass
 class RegressionRow:
     name: str

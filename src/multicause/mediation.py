@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import CauseMatrix, CovariateMatrix
 from .errors import NumericError, ValidationError
-from .effects import RegressionReport, _as_vector, ols_fit, outcome_design
+from .effects import RegressionReport, _as_vector, check_alpha, ols_fit, outcome_design
 
 MEDIATOR_NAME = "mediator"
 
@@ -50,12 +50,6 @@ class MediationReport:
         doc = dict(vars(self))
         doc["lambda"] = doc.pop("lam")
         return doc
-
-
-def check_alpha(alpha: float) -> None:
-    """A test level must lie strictly in (0, 1), NaN excluded."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def mediate(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import CauseMatrix
 from .errors import ValidationError
-from .effects import _as_vector, ols_fit, outcome_design
+from .effects import _as_vector, check_alpha, ols_fit, outcome_design
 
 
 @dataclass
@@ -42,12 +42,6 @@ class SweepTable:
 
     def cell(self, cause: str, step: int) -> SweepCell | None:
         return self.cells[step - 1].get(cause)
-
-
-def check_alpha(alpha: float) -> None:
-    """A test level must lie strictly in (0, 1), NaN excluded."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def sweep(
@@ -83,10 +77,8 @@ def sweep(
 
     flips: list[SignFlip] = []
     for rank, cause in enumerate(order):
-        for t in range(rank + 2, len(order) + 1):
-            prev, cur = cells[t - 2].get(cause), cells[t - 1].get(cause)
-            if prev is None or cur is None:
-                continue
+        for t in range(rank + 2, len(order) + 1):  # the cause entered at step rank + 1
+            prev, cur = cells[t - 2][cause], cells[t - 1][cause]
             if not (prev.significant and cur.significant):
                 continue
             s_prev = int(np.sign(prev.coefficient))

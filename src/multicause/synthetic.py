@@ -14,6 +14,7 @@ config maps to bit-identical data every time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,18 @@ ASPECT_NAMES = [
     "ambience_neg",
     "misc_pos",
 ]
+
+
+def check_n_units(n_units: int) -> None:
+    """A dataset needs at least 2 units."""
+    if n_units < 2:
+        raise ValidationError("need at least 2 units")
+
+
+def check_missing_rate(missing_rate: float) -> None:
+    """A missing rate must lie in [0, 1), NaN excluded."""
+    if not 0.0 <= missing_rate < 1.0:
+        raise ValidationError("missing_rate must lie in [0, 1)")
 
 
 @dataclass(eq=False)
@@ -55,8 +68,7 @@ class SyntheticConfig:
         self.outcome_gamma = np.array(self.outcome_gamma, dtype=float)
         self.true_beta = np.array(self.true_beta, dtype=float)
         d, k = self.n_causes, self.latent_dim
-        if self.n_units < 2:
-            raise ValidationError("need at least 2 units")
+        check_n_units(self.n_units)
         if not 1 <= k < d:
             raise ValidationError("need 1 <= latent_dim < n_causes")
         if self.confounder_loadings.shape != (d, k):
@@ -67,8 +79,7 @@ class SyntheticConfig:
             raise ValidationError("true_beta must have length n_causes")
         if min(self.noise_sd_causes, self.noise_sd_outcome) <= 0:
             raise ValidationError("noise standard deviations must be positive")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValidationError("missing_rate must lie in [0, 1)")
+        check_missing_rate(self.missing_rate)
         if (self.mediator_theta is None) != (self.mediator_lambda is None):
             raise ValidationError("mediator_theta and mediator_lambda come together")
         if self.mediator_theta is not None:
@@ -293,10 +304,6 @@ SCENARIOS = {
     "confounded": config_confounded,
     "unconfounded": config_unconfounded,
     "flip": config_flip,
-    "mediation-partial": lambda n_units=3000, seed=0: config_mediation(
-        n_units=n_units, seed=seed, full=False
-    ),
-    "mediation-full": lambda n_units=3000, seed=0: config_mediation(
-        n_units=n_units, seed=seed, full=True
-    ),
+    "mediation-partial": partial(config_mediation, full=False),
+    "mediation-full": partial(config_mediation, full=True),
 }

@@ -26,10 +26,6 @@ from .robustness import SweepTable
 FOOTNOTE = "* denotes 5% significance and ** 10% significance."
 
 
-def _star(significance: str) -> str:
-    return SIGNIFICANCE_STARS[significance]
-
-
 def render_regression_table(
     report: RegressionReport, include: list[str] | None = None
 ) -> str:
@@ -45,7 +41,7 @@ def render_regression_table(
     )
     lines = [header, "-" * len(header)]
     for r in rows:
-        p_text = f"{r.p_value:.2f}{_star(r.significance)}"
+        p_text = f"{r.p_value:.2f}{SIGNIFICANCE_STARS[r.significance]}"
         lines.append(
             f"{r.name:<{name_w}}{r.mean:>8.2f}{r.std:>8.2f}{p_text:>9}"
             f"{r.ci_low:>8.2f}{r.ci_high:>8.2f}"
@@ -103,12 +99,12 @@ def render_mediation_table(report: MediationReport, alpha: float = 0.05) -> str:
             cells = []
             for (j, _), w in zip(selected, widths):
                 row = source.rows[1 + j]
-                cells.append(f"{row.mean:.2f}{_star(row.significance)}".rjust(w))
+                cells.append(f"{row.mean:.2f}{SIGNIFICANCE_STARS[row.significance]}".rjust(w))
             lines.append(f"{label:<8}" + "".join(cells))
     med = report.step3.rows[-1]
     lines.append("")
     lines.append(
-        f"mediator effect (step 3): {med.mean:.2f}{_star(med.significance)}"
+        f"mediator effect (step 3): {med.mean:.2f}{SIGNIFICANCE_STARS[med.significance]}"
         f" (p={med.p_value:.2f}); lambda in the joint fit: {report.lam:.2f}"
     )
     lines.append("mediation status:")

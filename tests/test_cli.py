@@ -105,6 +105,23 @@ def test_missing_rate_only_for_confounded(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--missing-rate", 1.5, "missing_rate must lie in [0, 1)"),
+        ("--missing-rate", "nan", "missing_rate must lie in [0, 1)"),
+        ("--n", 1, "need at least 2 units"),
+    ],
+)
+def test_synth_flags_are_range_checked_before_out_is_made(
+    flag, value, message, tmp_path, capsys
+):
+    argv = ["synth", "--scenario", "confounded", "--seed", 0, flag, value]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error [synthetic] {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def effects_args(data_dir, out_dir, *extra):
     return (
         "effects",
@@ -793,11 +810,11 @@ CONTRACT_RUNS = [
 @pytest.mark.parametrize(
     "command, flag, value, label",
     [
-        ("mediate", "--alpha", 2, "mediation"),
-        ("mediate", "--alpha", 0, "mediation"),
-        ("mediate", "--alpha", -0.5, "mediation"),
-        ("robustness", "--alpha", 1, "robustness"),
-        ("robustness", "--alpha", "nan", "robustness"),
+        ("mediate", "--alpha", 2, "effects"),
+        ("mediate", "--alpha", 0, "effects"),
+        ("mediate", "--alpha", -0.5, "effects"),
+        ("robustness", "--alpha", 1, "effects"),
+        ("robustness", "--alpha", "nan", "effects"),
         ("effects", "--check-threshold", -1, "ppca"),
         ("effects", "--check-threshold", "nan", "ppca"),
         ("check", "--check-threshold", 1, "ppca"),
@@ -816,6 +833,23 @@ def test_probability_flags_outside_their_range_are_rejected(
     argv[argv.index("--input") + 1] = tmp_path / "absent.csv"
     assert run(*argv, "--out", tmp_path) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("value", [2, 0, "nan"])
+def test_mediate_and_robustness_reject_an_alpha_alike(
+    value, flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    # both analyses test at one level through one check, so a bad --alpha
+    # reads the same on either command and makes no --out
+    errors = []
+    for command in ("mediate", "robustness"):
+        argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
+        assert run(*argv, "--alpha", value, "--out", tmp_path / command) == 1
+        assert not (tmp_path / command).exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    first_line = errors[0].splitlines()[0]
+    assert first_line == f"error [effects] alpha must lie strictly in (0, 1), got {float(value)}"
 
 
 @pytest.mark.parametrize(

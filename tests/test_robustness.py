@@ -97,6 +97,53 @@ def test_flip_requires_significance_on_both_sides():
     assert table.cell("c0", 3).significant
 
 
+def brute_force_flips(table):
+    """Every cause, every pair of consecutive steps that both hold it."""
+    flips = []
+    for cause in table.order:
+        for t in range(2, len(table.order) + 1):
+            prev, cur = table.cell(cause, t - 1), table.cell(cause, t)
+            if prev is None or cur is None or not (prev.significant and cur.significant):
+                continue
+            s_prev, s_cur = int(np.sign(prev.coefficient)), int(np.sign(cur.coefficient))
+            if s_prev * s_cur == -1:
+                flips.append((cause, t, s_prev, s_cur))
+    return flips
+
+
+def flip_tuples(table):
+    return [(f.cause, f.step, f.from_sign, f.to_sign) for f in table.flips]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("adjusted", [False, True])
+def test_flip_scan_matches_brute_force_on_the_flip_scenario(seed, adjusted):
+    m, _, y, _ = generate(config_flip(n_units=2000, seed=seed))
+    std, _ = standardize(m)
+    z = pipeline_surrogates(std, k=1, seed=seed) if adjusted else None
+    table = sweep(std, y, z=z)
+    assert flip_tuples(table) == brute_force_flips(table)
+
+
+def test_flip_scan_matches_brute_force_on_random_nested_designs():
+    found = 0
+    for seed in range(6):
+        # causes sharing two factors with the outcome, so coefficients
+        # borrow from causes not yet included; a loose alpha and a random
+        # order give the scan many significant pairs to judge
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((300, 2))
+        m = matrix_from(h @ rng.standard_normal((2, 6)) + 0.6 * rng.standard_normal((300, 6)))
+        y = m.values @ rng.normal(0.0, 0.5, 6) + h @ rng.standard_normal(2)
+        y = y + rng.standard_normal(300)
+        order = [str(c) for c in rng.permutation(m.column_names)]
+        for alpha in (0.05, 0.3):
+            table = sweep(m, y, order=order, alpha=alpha)
+            assert flip_tuples(table) == brute_force_flips(table)
+            found += len(table.flips)
+    assert found > 0
+
+
 def test_sweep_respects_a_custom_order():
     m, _, y, _ = generate(config_flip(n_units=2000, seed=0))
     std, _ = standardize(m)
