@@ -11,8 +11,9 @@ Subcommands:
   robustness          cause-addition sweep with sign-flip detection
   compare-predictive  held-out MSE/MAE of causal vs non-causal regression
 
-Single-flag range checks run as the flags are parsed, before --out is made
-or the input read; checks across flags or against the data run in the command.
+Single-flag range checks run as the flags are parsed, before the input is
+read; checks across flags or against the data run in the command. --out is
+made by the first file written, so a run that fails before writing makes none.
 
 Every run writes manifest.json recording every parsed flag but --out
 (-k as `k_requested`), the resolved K, and a sha256 hash; reports embed
@@ -51,6 +52,7 @@ from .dataset import (
     check_corr_threshold,
     check_holdout_rate,
     check_overlap,
+    check_seed,
     correlation_screen,
     load_csv,
     make_holdout,
@@ -94,14 +96,14 @@ def _split(names: str | None) -> list[str]:
     return [c for c in (names or "").split(",") if c]
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _path(directory: str, name: str) -> str:
+    """The path of output file `name`, making its directory on first use."""
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, name)
 
 
 def _write_text(directory: str, name: str, text: str) -> None:
-    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+    with open(_path(directory, name), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -147,15 +149,10 @@ def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
     res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
-    imputation = {
-        "ran": True,
-        "sweeps": res.sweeps,
-        "converged": res.converged,
-        "max_change": res.max_change,
-        "mean_fallback_columns": res.mean_fallback_columns,
-    }
+    imputation = {"ran": True, **vars(res)}
+    m = imputation.pop("matrix")
     _warn({"imputation": imputation})
-    return res.matrix, imputation
+    return m, imputation
 
 
 def _prepare(args):
@@ -261,17 +258,17 @@ def cmd_synth(args, out: str) -> int:
     outcomes = {"rating": rating, "popularity": popularity}
     if rating is None:
         del outcomes["rating"]
-    write_csv(os.path.join(out, "data.csv"), m, outcomes=outcomes)
+    write_csv(_path(out, "data.csv"), m, outcomes=outcomes)
     mediator = None
-    if truth.mediator_theta is not None:
-        mediator = {"theta": truth.mediator_theta, "lambda": truth.mediator_lambda}
+    if cfg.mediator_theta is not None:
+        mediator = {"theta": cfg.mediator_theta, "lambda": cfg.mediator_lambda}
     truth_doc = {
         "scenario": args.scenario,
         "seed": args.seed,
         "n_units": args.n,
         "column_names": m.column_names,
-        "true_beta": truth.true_beta,
-        "outcome_gamma": truth.outcome_gamma,
+        "true_beta": cfg.true_beta,
+        "outcome_gamma": cfg.outcome_gamma,
         "confounder_loadings": cfg.confounder_loadings,
         "overlap_shift": truth.overlap_shift,
         "missing_cells": truth.missing_mask.sum(),
@@ -287,7 +284,7 @@ def cmd_impute(args, out: str) -> int:
     m, y, x = _load(args)
     m, diagnostics = _impute(args, m)
     outcomes = {args.outcome: y} if args.outcome else {}
-    path = os.path.join(out, "imputed.csv")
+    path = _path(out, "imputed.csv")
     write_csv(path, m, outcomes=outcomes, covariates=x, id_column=args.id_column)
     summary = "no missing causes"
     if diagnostics["ran"]:
@@ -442,19 +439,7 @@ def _checked(kind, check):
     return parse
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2**64), one 64-bit word.
-
-    The bound is checked here, before any stage runs, so an out-of-range
-    seed fails at once rather than inside the first stage that draws.
-    """
-    seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
-    return seed
-
-
-_SEED = _flag("--seed", type=_seed, required=True)
+_SEED = _flag("--seed", type=_checked(int, check_seed), required=True)
 _OUT = _flag("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
 _SYNTH = [
     _flag("--scenario", choices=sorted(SCENARIOS), required=True),
@@ -552,7 +537,7 @@ def main(argv=None) -> int:
     try:  # inside: a flag's range check raises a stage's ValidationError
         args = build_parser().parse_args(argv)
         command, _, _ = COMMANDS[args.command]
-        return command(args, _out_dir(args))
+        return command(args, args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
     except MulticauseError as exc:
         # a failed gate is the factor model's verdict
         label = "ppca" if isinstance(exc, PredictiveCheckFailed) else _origin(exc)

@@ -401,6 +401,12 @@ def _hash64(*words):
     return h
 
 
+def check_seed(seed: int) -> None:
+    """A seed is one uint64 word, as `_hash64` keys on it: an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _rng_permutation(n: int, seed: int) -> np.ndarray:
     """numpy's `default_rng(seed).permutation(n)`, replayed in Python ints.
 

@@ -13,7 +13,7 @@ config maps to bit-identical data every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -109,14 +109,12 @@ class SyntheticConfig:
 
 @dataclass(eq=False)
 class SyntheticTruth:
+    """What `generate` drew; the parameters it drew from stay on the config."""
+
     z: np.ndarray  # (N, K) realized confounders
-    true_beta: np.ndarray
-    outcome_gamma: np.ndarray
     causes_complete: np.ndarray  # (N, D) after the overlap shift, before masking
     overlap_shift: float
     missing_mask: np.ndarray  # (N, D) True where hidden
-    mediator_theta: np.ndarray | None = None
-    mediator_lambda: float | None = None
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -179,16 +177,7 @@ def generate(
         list(cfg.column_names),
         [f"u{str(i).zfill(width)}" for i in range(n)],
     )
-    truth = SyntheticTruth(
-        z=z,
-        true_beta=cfg.true_beta.copy(),
-        outcome_gamma=cfg.outcome_gamma.copy(),
-        causes_complete=a,
-        overlap_shift=shift,
-        missing_mask=missing,
-        mediator_theta=None if cfg.mediator_theta is None else cfg.mediator_theta.copy(),
-        mediator_lambda=cfg.mediator_lambda,
-    )
+    truth = SyntheticTruth(z=z, causes_complete=a, overlap_shift=shift, missing_mask=missing)
     return matrix, rating, y, truth
 
 

@@ -200,8 +200,9 @@ def test_criterion_4_deconfounding_bias_reduction(capsys):
     naive_cover = np.zeros((seeds, 9), dtype=bool)
     true_beta = None
     for seed in range(seeds):
-        m, _, y, truth = generate(config_confounded(n_units=5000, seed=seed))
-        true_beta = truth.true_beta
+        cfg = config_confounded(n_units=5000, seed=seed)
+        m, _, y, _ = generate(cfg)
+        true_beta = cfg.true_beta
         mask = make_holdout(m, rate=0.2, seed=seed)
         model = fit_ppca(m, 3, PpcaConfig(seed=seed), mask=mask)
         z = posterior_mean_partial(model, m, mask)

@@ -100,9 +100,19 @@ def test_missing_rate_only_for_confounded(tmp_path):
         "--missing-rate",
         0.1,
         "--out",
-        tmp_path,
+        tmp_path / "out",
     )
     assert code == 1
+    # --out is made by the first file written, so a refused run makes none
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_regular_file_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert run("synth", "--scenario", "flip", "--n", 100, "--seed", 0, "--out", taken) == 1
+    assert capsys.readouterr().err.startswith("error [cli] [Errno 17] File exists")
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
@@ -232,6 +242,18 @@ def test_gate_failure_exits_2_and_force_continues(flip_data, tmp_path, capsys):
     assert read_json(forced, "report.json")["predictive_check"]["passed"] is False
 
 
+def test_failed_check_exits_2_and_still_writes_its_report(
+    flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    # unlike effects, check has no later stage to stop: its report is the verdict
+    argv = ["check", *contract_argv("check", flip_data, mediation_data, fit_dir)]
+    assert run(*argv, "--check-threshold", 0.99, "--out", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error [ppca] ")
+    report = read_json(tmp_path, "report.json")
+    assert report["passed"] is False and report["threshold"] == 0.99
+    assert ": FAILED" in (tmp_path / "report.txt").read_text()
+
+
 def test_missing_input_fails_with_stage_and_hint(tmp_path, capsys):
     code = run(
         "effects",
@@ -242,12 +264,13 @@ def test_missing_input_fails_with_stage_and_hint(tmp_path, capsys):
         "--seed",
         0,
         "--out",
-        tmp_path,
+        tmp_path / "out",
     )
     assert code == 1
     err = capsys.readouterr().err
     assert "error [dataset]" in err
     assert "hint:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_csv_fails_with_line_number(tmp_path, capsys):
@@ -312,11 +335,12 @@ def seeded_effects_args(data_dir, out_dir, seed):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_rejected_before_any_stage(seed, flip_data, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(*seeded_effects_args(flip_data, tmp_path, seed))
-    assert exc.value.code == 2
-    assert f"argument --seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # a range error like any other flag's: exit 1, labelled with its check
+    out = tmp_path / "out"
+    assert run(*seeded_effects_args(flip_data, out, seed)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [dataset] seed must be in [0, 2**64), got {seed}\n")
+    assert not out.exists()
 
 
 def test_largest_seed_runs_end_to_end(flip_data, tmp_path):
@@ -512,10 +536,11 @@ def test_mediator_must_differ_from_outcome(mediation_data, tmp_path, capsys):
         "--seed",
         0,
         "--out",
-        tmp_path,
+        tmp_path / "out",
     )
     assert code == 1
     assert "different columns" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_robustness_cli_flags_the_flip(flip_data, tmp_path):
@@ -917,6 +942,7 @@ def test_latent_dim_below_one_is_rejected_before_the_load(sparse_data, tmp_path,
         ("mediate", "--alpha", "float"),
         ("robustness", "--alpha", "float"),
         ("effects", "-k", "int"),
+        ("effects", "--seed", "int"),
         ("impute", "--mice-iterations", "int"),
         ("compare-predictive", "--split", "float"),
     ],

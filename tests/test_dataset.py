@@ -385,6 +385,19 @@ def test_load_csv_reads_a_pipe_once(tmp_path, case):
     assert verdict == load_verdict(oracle_load_csv, path, outcome="y", covariates=["w"])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file, header required"),
+        ("id,a,a\nu1,1,2\n", "duplicate column names in header"),
+    ],
+)
+def test_a_bad_header_is_a_parse_error_at_line_1(tmp_path, text, message):
+    verdict = (ParseError, f"line 1: {message}", 1)
+    assert load_verdict(load_csv, write(tmp_path, text)) == verdict
+    assert load_piped(text) == verdict
+
+
 LOAD_TOKENS = ["1", "-0.0", " 2.5 ", "1_000", "", "NA", " NA ", " ", "nan", "inf", "1e400", "x"]
 # mostly numbers, so that about half the files load
 LOAD_CELLS = st.sampled_from(LOAD_TOKENS[:4] * 20 + LOAD_TOKENS)

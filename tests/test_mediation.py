@@ -45,13 +45,13 @@ def test_decomposition_identity_holds_exactly():
 
 def test_partial_mediation_recovers_the_paths():
     cfg = config_mediation(n_units=3000, seed=0)
-    m, r, y, truth = generate(cfg)
+    m, r, y, _ = generate(cfg)
     rep = mediate(m, dead_surrogates(3000), r, y)
     # y = 0.6 theta'a + 0.8 r, so total = 1.4 theta and direct = 0.6 theta
-    assert np.allclose(rep.theta, truth.mediator_theta, atol=0.05)
+    assert np.allclose(rep.theta, cfg.mediator_theta, atol=0.05)
     assert rep.lam == pytest.approx(0.8, abs=0.05)
-    assert np.allclose(rep.beta_total, 1.4 * truth.mediator_theta, atol=0.1)
-    assert np.allclose(rep.beta_direct, 0.6 * truth.mediator_theta, atol=0.1)
+    assert np.allclose(rep.beta_total, 1.4 * cfg.mediator_theta, atol=0.1)
+    assert np.allclose(rep.beta_direct, 0.6 * cfg.mediator_theta, atol=0.1)
     for name in ("c1", "c2", "c3", "c5", "c6"):
         assert rep.status[name] == STATUS_PARTIAL
     assert rep.status["c4"] == STATUS_NO_TOTAL

@@ -130,28 +130,28 @@ def test_config_validation():
 
 def test_unconfounded_naive_regression_recovers_beta():
     cfg = config_unconfounded(n_units=5000, seed=3)
-    m, _, y, truth = generate(cfg)
+    m, _, y, _ = generate(cfg)
     est = estimate_effects_noncausal(m, y)
-    err = est.beta - truth.true_beta
+    err = est.beta - cfg.true_beta
     std = np.array([r.std for r in est.regression.rows[1:10]])
     assert np.all(np.abs(err) < 3.0 * std)
 
 
 def test_confounded_naive_regression_is_biased():
     cfg = config_confounded(n_units=5000, seed=3)
-    m, _, y, truth = generate(cfg)
+    m, _, y, _ = generate(cfg)
     est = estimate_effects_noncausal(m, y)
-    assert np.max(np.abs(est.beta - truth.true_beta)) > 0.1
+    assert np.max(np.abs(est.beta - cfg.true_beta)) > 0.1
 
 
 def test_mediator_construction():
     cfg = config_mediation(n_units=4000, seed=4)
     m, rating, y, truth = generate(cfg)
-    resid = rating - truth.causes_complete @ truth.mediator_theta
+    resid = rating - truth.causes_complete @ cfg.mediator_theta
     assert resid.std() == pytest.approx(cfg.noise_sd_mediator, rel=0.1)
     # outcome leans on the realized mediator
-    direct = truth.causes_complete @ truth.true_beta
-    resid_y = y - direct - truth.mediator_lambda * rating
+    direct = truth.causes_complete @ cfg.true_beta
+    resid_y = y - direct - cfg.mediator_lambda * rating
     assert resid_y.std() == pytest.approx(cfg.noise_sd_outcome, rel=0.1)
 
 
