@@ -67,11 +67,10 @@ from .effects import (
     predictive_comparison,
 )
 from .errors import MulticauseError, PredictiveCheckFailed, ValidationError
-from .imputation import MiceConfig, impute_mice
+from .imputation import check_iterations, impute_mice
 from .mediation import mediate
 from .ppca import (
     DEFAULT_K,
-    PpcaConfig,
     PpcaModel,
     check_latent_dim,
     check_threshold,
@@ -148,7 +147,7 @@ def _load(args):
 def _impute(args, m: CauseMatrix) -> tuple[CauseMatrix, dict]:
     if not m.has_missing:
         return m, {"ran": False}
-    res = impute_mice(m, MiceConfig(iterations=args.mice_iterations))
+    res = impute_mice(m, args.mice_iterations)
     imputation = {"ran": True, **vars(res)}
     m = imputation.pop("matrix")
     _warn({"imputation": imputation})
@@ -182,7 +181,7 @@ def _surrogates(args, m: CauseMatrix, report: dict):
         # default by outcome column name, clamped below the cause count
         args.k = min(DEFAULT_K.get(args.outcome, DEFAULT_K["custom"]), m.n_causes - 1)
     mask = make_holdout(m, rate=args.holdout_rate, seed=args.seed)
-    model = fit_ppca(m, args.k, PpcaConfig(seed=args.seed), mask=mask)
+    model = fit_ppca(m, args.k, mask, seed=args.seed)
     report["em"] = {f: getattr(model, f) for f in ("iterations", "converged", "log_likelihood")}
     _warn({"em": report["em"]})
     return mask, model, posterior_mean_partial(model, m, mask)
@@ -453,7 +452,7 @@ _INPUT = [
     _flag("--id-column", default="id", help="unit id column (default: id)"),
     _flag("--covariates", default="", help="comma-separated covariate columns"),
     _flag("--ignore", default="", help="comma-separated columns to drop"),
-    _flag("--mice-iterations", type=_checked(int, MiceConfig), default=10),
+    _flag("--mice-iterations", type=_checked(int, check_iterations), default=10),
 ]
 _OPTIONAL_OUTCOME = _flag("--outcome", default=None, help="outcome column name (optional)")
 _IMPUTE = [*_INPUT, _OPTIONAL_OUTCOME, _OUT]

@@ -41,16 +41,10 @@ from .errors import ValidationError
 _GRAM_RCOND = 1e-6
 
 
-@dataclass
-class MiceConfig:
-    iterations: int = 10
-    convergence_tol: float = 1e-6  # on a sweep's largest change, in column sds
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
-        if self.convergence_tol < 0:
-            raise ValidationError("convergence_tol must be >= 0")
+def check_iterations(iterations: int) -> None:
+    """MICE runs at least one sweep."""
+    if iterations < 1:
+        raise ValidationError("iterations must be >= 1")
 
 
 @dataclass(eq=False)
@@ -64,9 +58,13 @@ class ImputationResult:
     mean_fallback_columns: list[str] = field(default_factory=list)
 
 
-def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResult:
-    """Fill every missing cause entry; observed entries are untouched."""
-    cfg = cfg or MiceConfig()
+def impute_mice(
+    m: CauseMatrix, iterations: int = 10, convergence_tol: float = 1e-6
+) -> ImputationResult:
+    """Fill every missing cause entry in at most `iterations` sweeps; observed ones stay."""
+    check_iterations(iterations)
+    if not convergence_tol >= 0:  # NaN excluded
+        raise ValidationError("convergence_tol must be >= 0")
     miss = m.missing
     n, d = m.values.shape
 
@@ -114,7 +112,7 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
     fallback: set[str] = set()
     sweeps = 0
     converged = False
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         sweeps += 1
         max_change = max_dz = 0.0
         for j, rows, kept, kept_block in fits:
@@ -135,7 +133,7 @@ def impute_mice(m: CauseMatrix, cfg: MiceConfig | None = None) -> ImputationResu
             x1[rows, c] = fill
             gram[:, c] = gram[c, :] = x1.T @ x1[:, c]
         # the stop rule is scale-free: it reads the change in column sds
-        if max_dz < cfg.convergence_tol:
+        if max_dz < convergence_tol:
             converged = True
             break
 

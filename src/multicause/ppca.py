@@ -64,19 +64,6 @@ _SERIES_TOL = 1e-12
 _SERIES_TERMS = 10_000
 
 
-@dataclass
-class PpcaConfig:
-    max_iter: int = 1000  # E-steps after the start's, rejected extrapolations included
-    tol: float = 1e-8  # relative log-likelihood gain of one EM step
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValidationError("tol must be >= 0")
-
-
 @dataclass(eq=False)
 class PpcaModel:
     loadings: np.ndarray  # (D, K)
@@ -232,8 +219,11 @@ def check_latent_dim(k: int) -> None:
 def fit_ppca(
     m: CauseMatrix,
     k: int,
-    cfg: PpcaConfig | None = None,
     mask: HoldoutMask | None = None,
+    *,
+    seed: int = 0,
+    max_iter: int = 1000,
+    tol: float = 1e-8,
 ) -> PpcaModel:
     """Fit the factor model by SQUAREM-accelerated EM (see the module notes).
 
@@ -242,9 +232,13 @@ def fit_ppca(
     the held cells are excluded from fitting (each row contributes only
     its observed coordinates), which is what the held-out predictive
     check requires of its model. The column means are taken over the
-    entries actually used.
+    entries actually used. `seed` keys the start; `max_iter` >= 1 and
+    `tol` >= 0 set the stop rule of the module notes.
     """
-    cfg = cfg or PpcaConfig()
+    if not max_iter >= 1:  # NaN excluded
+        raise ValidationError("max_iter must be >= 1")
+    if not tol >= 0:
+        raise ValidationError("tol must be >= 0")
     _require_complete(m, "fit_ppca")
     x = m.values
     n, d = x.shape
@@ -323,18 +317,18 @@ def fit_ppca(
     def theta(w: np.ndarray, s2: float) -> np.ndarray:
         return np.append(w, math.log(s2))
 
-    cur = em_point(*_init_params(x, observed, k, cfg.seed))
+    cur = em_point(*_init_params(x, observed, k, seed))
     trace = [cur[2]]
     evals = 0
     converged = False
-    while evals < cfg.max_iter:
+    while evals < max_iter:
         w0, nv0, ll0, w1, nv1 = cur
         step = em_point(w1, nv1)  # theta1, carrying theta2 as its M-step image
         evals += 1
         _, _, ll1, w2, nv2 = step
         # a drop is rounding: exact EM never lowers the log-likelihood
-        converged = ll1 - ll0 <= cfg.tol * max(1.0, abs(ll0))
-        if converged or evals == cfg.max_iter:
+        converged = ll1 - ll0 <= tol * max(1.0, abs(ll0))
+        if converged or evals == max_iter:
             if ll1 >= ll0:
                 cur = step
                 trace.append(ll1)
@@ -356,7 +350,7 @@ def fit_ppca(
             new = None
         if new is None or not new[2] >= ll1:
             # fall back to theta2, or to theta1 when no E-step is left
-            if evals == cfg.max_iter:
+            if evals == max_iter:
                 new = step
             else:
                 new = em_point(w2, nv2)

@@ -154,8 +154,6 @@ def generate(
 
     missing = np.zeros((n, d), dtype=bool)
     if cfg.missing_rate > 0.0:
-        if d < 2:
-            raise ValidationError("MAR missingness needs at least 2 cause columns")
         anchor = a[:, 0]
         u = (anchor - anchor.mean()) / anchor.std()
         # E[2 sigmoid(u)] is ~1 for symmetric u, and the D/(D-1) factor

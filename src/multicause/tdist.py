@@ -1,8 +1,8 @@
-"""Student-t tail probabilities built on the regularized incomplete beta.
+"""Student-t tails and quantiles only, by the incomplete beta I_x(dof/2, b = 1/2).
 
 No scipy here: the continued fraction of DiDonato & Morris (ACM TOMS 708,
 1992, "Significant digit computation of the incomplete beta function
-ratios", routine BFRAC) and a Stirling-corrected ln B(a, b) keep the
+ratios", routine BFRAC) and a Stirling-corrected ln B(dof/2, 1/2) keep the
 dependency surface to the standard library. Both are written in terms of
 x and y = 1 - x, so that the large degrees of freedom of a big sample,
 where x sits next to 1, lose no digits: p-values and t quantiles agree
@@ -58,7 +58,6 @@ def _bfrac(a: float, b: float, x: float, y: float) -> float:
 # Stirling series of ln Gamma(x) - [(x - 1/2) ln x - x + ln(2 pi) / 2]:
 # B_2j / (2j (2j - 1) x^(2j - 1)), j = 1..7; for x >= 10 the next term is below 4e-17
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _lgamma_correction(x: float) -> float:
@@ -72,7 +71,7 @@ def _lgamma_correction(x: float) -> float:
 
 
 def _ln_beta(a: float, b: float) -> float:
-    """ln B(a, b).
+    """ln B(a, b) for min(a, b) < 10, which b = 1/2 always meets.
 
     lgamma(a) + lgamma(b) - lgamma(a + b) cancels when an argument is large
     (at a = 5e5 each term is near 6e6), so there the large Gamma terms are
@@ -84,24 +83,12 @@ def _ln_beta(a: float, b: float) -> float:
         return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
     corr = _lgamma_correction(q) - _lgamma_correction(p + q)
     shrink = math.log1p(-p / (p + q))  # ln(q / (p + q))
-    if p < 10.0:
-        return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * shrink
-    corr += _lgamma_correction(p)
-    return (
-        -0.5 * math.log(q) + _LN_SQRT_2PI + corr + (p - 0.5) * math.log(p / (p + q)) + q * shrink
-    )
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
-    return _incomplete_beta(a, b, x, 1.0 - x)
+    return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * shrink
 
 
 def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
-    # y = 1 - x, passed in so that a caller who knows it more exactly than
-    # 1 - x rounds to keeps ln x and ln y exact near x = 1 and x = 0
-    if a <= 0.0 or b <= 0.0:
-        raise NumericError("incomplete beta requires a, b > 0")
+    # I_x(a, b) for a, b > 0; y = 1 - x, passed in so that a caller who knows
+    # it better than 1 - x rounds to keeps ln x and ln y exact near 1 and 0
     if x <= 0.0:
         return 0.0
     if y <= 0.0:

@@ -25,10 +25,9 @@ from multicause.effects import (
     estimate_effects_noncausal,
     ols_fit,
 )
-from multicause.imputation import MiceConfig, impute_mice
+from multicause.imputation import impute_mice
 from multicause.mediation import mediate
 from multicause.ppca import (
-    PpcaConfig,
     fit_ppca,
     posterior_mean_partial,
     predictive_check,
@@ -47,7 +46,6 @@ from multicause.effects import RegressionReport, RegressionRow
 pytestmark = pytest.mark.acceptance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-TIGHT = PpcaConfig(max_iter=5000, tol=1e-15, seed=0)
 
 
 def emit(capsys, criterion, ok, detail):
@@ -138,7 +136,7 @@ def test_criterion_2_ppca_closed_form(capsys):
         a = z @ w_true.T + math.sqrt(0.3) * rng.standard_normal((1000, 9))
         m = matrix_from(a)
         k = 2 if seed % 2 == 0 else 5
-        model = fit_ppca(m, k, PpcaConfig(max_iter=5000, tol=1e-15, seed=seed))
+        model = fit_ppca(m, k, max_iter=5000, tol=1e-15, seed=seed)
         gap = abs(model.log_likelihood - closed_form_max_loglik(m, k))
         worst_gap = max(worst_gap, gap)
         trace = np.array(model.fit_trace)
@@ -170,7 +168,7 @@ def test_criterion_3_predictive_check_calibration(capsys):
         a = z @ w_true.T + math.sqrt(s2_true) * rng.standard_normal((n, d))
         m = matrix_from(a)
         mask = make_holdout(m, rate=0.2, seed=seed)
-        model = fit_ppca(m, k, PpcaConfig(seed=seed), mask=mask)
+        model = fit_ppca(m, k, mask=mask, seed=seed)
         res = predictive_check(model, m, mask)
         well_passed += res.passed
 
@@ -204,7 +202,7 @@ def test_criterion_4_deconfounding_bias_reduction(capsys):
         m, _, y, _ = generate(cfg)
         true_beta = cfg.true_beta
         mask = make_holdout(m, rate=0.2, seed=seed)
-        model = fit_ppca(m, 3, PpcaConfig(seed=seed), mask=mask)
+        model = fit_ppca(m, 3, mask=mask, seed=seed)
         z = posterior_mean_partial(model, m, mask)
         causal = estimate_effects_causal(m, z, y)
         naive = estimate_effects_noncausal(m, y)
@@ -255,7 +253,7 @@ def test_criterion_5_mediation_decomposition(capsys):
     for seed in range(100):
         m, r, y, _ = generate(config_mediation(n_units=3000, seed=seed))
         mask = make_holdout(m, rate=0.2, seed=seed)
-        model = fit_ppca(m, 2, PpcaConfig(seed=seed), mask=mask)
+        model = fit_ppca(m, 2, mask=mask, seed=seed)
         z = posterior_mean_partial(model, m, mask)
         rep = mediate(m, z, r, y)
         worst_resid = max(worst_resid, rep.decomposition_residual)
@@ -267,7 +265,7 @@ def test_criterion_5_mediation_decomposition(capsys):
 
         m2, r2, y2, _ = generate(config_mediation(n_units=3000, seed=seed, full=True))
         mask2 = make_holdout(m2, rate=0.2, seed=seed)
-        model2 = fit_ppca(m2, 2, PpcaConfig(seed=seed), mask=mask2)
+        model2 = fit_ppca(m2, 2, mask=mask2, seed=seed)
         z2 = posterior_mean_partial(model2, m2, mask2)
         rep2 = mediate(m2, z2, r2, y2)
         worst_resid = max(worst_resid, rep2.decomposition_residual)
@@ -301,7 +299,7 @@ def test_criterion_6_sign_flip_contrast(capsys):
         m, _, y, _ = generate(config_flip(n_units=2000, seed=seed))
         noncausal = sweep(m, y)
         mask = make_holdout(m, rate=0.2, seed=seed)
-        model = fit_ppca(m, 1, PpcaConfig(seed=seed), mask=mask)
+        model = fit_ppca(m, 1, mask=mask, seed=seed)
         z = posterior_mean_partial(model, m, mask)
         causal = sweep(m, y, z=z)
         contrast_ok += len(noncausal.flips) >= 1 and len(causal.flips) == 0
@@ -336,7 +334,7 @@ def test_criterion_7_mice_quality(capsys):
     for seed in range(100):
         cfg = config_confounded(n_units=2000, seed=seed, missing_rate=0.10)
         m, _, _, truth = generate(cfg)
-        filled = impute_mice(m, MiceConfig()).matrix.values
+        filled = impute_mice(m).matrix.values
         miss_m = m.missing
         ref = truth.causes_complete[miss_m]
         rmse = float(np.sqrt(np.mean((filled[miss_m] - ref) ** 2)))

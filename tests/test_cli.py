@@ -18,7 +18,7 @@ import pytest
 
 from multicause import cli
 from multicause.cli import COMMANDS, OUTPUT_DIR_ENV, build_parser, main
-from multicause.ppca import PpcaConfig
+from multicause.ppca import fit_ppca
 from multicause.tables import canonical_json
 
 
@@ -792,6 +792,32 @@ def test_malformed_mask_is_a_validation_error(payload, flip_data, fit_dir, tmp_p
     assert "hint: check the input schema and flag values" in err
 
 
+NARROW_MODEL = {  # a valid K=1 model on 4 causes, with no "columns" to compare by name
+    "loadings": [[1.0]] * 4, "mean": [0.0] * 4, "noise_variance": 1.0, "K": 1,
+    "log_likelihood": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (None, "cannot read '"),
+        ("{not json", "bad model file: "),
+        (NARROW_MODEL, "model dimension disagrees with the cause columns"),
+    ],
+    ids=["absent", "not-json", "width-differs-without-columns"],
+)
+def test_check_refuses_a_bad_model_file(model, message, flip_data, fit_dir, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    if model is not None:
+        path.write_text(model if isinstance(model, str) else json.dumps(model))
+    scored = ["--input", flip_data / "data.csv", "--outcome", "popularity", "--corr-threshold", 0.95]
+    saved = ["--model", path, "--mask", fit_dir / "holdout.json"]
+    assert run("check", *scored, *saved, "--out", tmp_path / "chk") == 1
+    assert capsys.readouterr().err.startswith(f"error [cli] {message}")
+    assert not (tmp_path / "chk").exists()
+
+
 def contract_argv(command, flip, med, fit):
     scored = ["--input", flip / "data.csv", "--outcome", "popularity", "--corr-threshold", 0.95]
     fitting = [*scored, "--seed", 0]
@@ -1003,7 +1029,7 @@ def test_every_fit_reports_em_health(command, flip_data, mediation_data, fit_dir
     assert run(*argv, "--out", tmp_path) == 0
     em = read_json(tmp_path, "report.json")["em"]
     assert em["converged"] is True
-    assert 1 <= em["iterations"] < PpcaConfig().max_iter
+    assert 1 <= em["iterations"] < fit_ppca.__kwdefaults__["max_iter"]
     assert math.isfinite(em["log_likelihood"])
     assert "WARNING" not in (tmp_path / "report.txt").read_text()
 
@@ -1012,7 +1038,7 @@ def test_every_fit_reports_em_health(command, flip_data, mediation_data, fit_dir
 def test_unconverged_em_warns_and_stamps_the_report(
     command, flip_data, mediation_data, fit_dir, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "PpcaConfig", functools.partial(PpcaConfig, max_iter=1))
+    monkeypatch.setattr(cli, "fit_ppca", functools.partial(fit_ppca, max_iter=1))
     argv = [command, *contract_argv(command, flip_data, mediation_data, fit_dir)]
     if command == "effects":
         argv.append("--force")  # a one-step fit may fail the check

@@ -507,6 +507,12 @@ def test_screen_keeps_everything_below_threshold():
     assert dropped == [] and kept.n_causes == 5
 
 
+def test_screen_returns_a_single_column_as_it_is():
+    m = CauseMatrix(np.arange(10.0)[:, None], ["only"], [str(i) for i in range(10)])
+    kept, dropped = correlation_screen(m, threshold=0.7)
+    assert kept is m and dropped == []
+
+
 def test_holdout_counts_and_bounds():
     rng = np.random.default_rng(3)
     m = CauseMatrix(rng.standard_normal((100, 9)), [f"c{i}" for i in range(9)],

@@ -63,6 +63,14 @@ def test_noiseless_fit_has_zero_p_values():
         assert row.significance == "5%"
 
 
+def test_exact_fit_reports_zero_std_infinite_t_and_zero_p():
+    # an intercept-only fit of a constant: with 4 rows every SVD factor is
+    # a power of 2, so the residuals are exactly 0 and std is 0.0, not 1e-15
+    (row,) = ols_fit(np.ones((4, 1)), [3.0] * 4).rows
+    assert row.mean == 3.0 and row.std == 0.0
+    assert row.t_stat == math.inf and row.p_value == 0.0
+
+
 def test_inference_matches_scipy():
     rng = np.random.default_rng(1)
     n, q = 300, 4

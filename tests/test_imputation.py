@@ -1,6 +1,8 @@
 """Chained-equations imputation against constructions with known answers,
 and against a per-column lstsq reference loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from multicause.dataset import CauseMatrix
 from multicause.errors import ValidationError
-from multicause.imputation import MiceConfig, impute_mice
+from multicause.imputation import impute_mice
 from multicause.synthetic import config_confounded, generate
 
 
@@ -60,12 +62,22 @@ def test_complete_input_is_a_noop():
     assert np.array_equal(res.matrix.values, m.values)
 
 
+@pytest.mark.parametrize(
+    "setting", [{"iterations": 0}, {"convergence_tol": -1e-9}, {"convergence_tol": math.nan}]
+)
+def test_sweep_settings_out_of_range_are_rejected(setting):
+    m = matrix_from([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]], [[False, True], [False] * 2, [False] * 2])
+    name, = setting
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        impute_mice(m, **setting)
+
+
 def test_beats_mean_imputation_on_mar_data():
     wins = 0
     for seed in range(30):
         cfg = config_confounded(n_units=1000, seed=seed, missing_rate=0.1)
         m, _, _, truth = generate(cfg)
-        res = impute_mice(m, MiceConfig())
+        res = impute_mice(m)
         miss = m.missing
         target = truth.causes_complete[miss]
         rmse = np.sqrt(np.mean((res.matrix.values[miss] - target) ** 2))
@@ -121,8 +133,7 @@ def test_stop_rule_does_not_depend_on_the_units():
     vals = rng.standard_normal((n, 3)) @ [[1.0, 0.6, 0.3], [0.0, 0.8, 0.4], [0.0, 0.0, 0.7]]
     miss = rng.random((n, 3)) < 0.3
     miss[:, 0] = False
-    cfg = MiceConfig(iterations=500)
-    runs = [impute_mice(matrix_from(vals * scale, miss), cfg) for scale in (1.0, 1e-3, 1e6)]
+    runs = [impute_mice(matrix_from(vals * scale, miss), 500) for scale in (1.0, 1e-3, 1e6)]
     assert all(res.converged for res in runs)
     assert [res.sweeps for res in runs] == [runs[0].sweeps] * 3
     assert runs[0].sweeps > 5
@@ -133,12 +144,12 @@ def test_stop_rule_does_not_depend_on_the_units():
 def test_deterministic_given_config():
     cfg = config_confounded(n_units=500, seed=7, missing_rate=0.15)
     m, _, _, _ = generate(cfg)
-    a = impute_mice(m, MiceConfig()).matrix.values
-    b = impute_mice(m, MiceConfig()).matrix.values
+    a = impute_mice(m).matrix.values
+    b = impute_mice(m).matrix.values
     assert np.array_equal(a, b)
 
 
-def lstsq_mice(vals, miss, cfg):
+def lstsq_mice(vals, miss, iterations, convergence_tol):
     """The sweeps as one lstsq per column over a copied design.
 
     Returns (completed values, sweeps, converged, fallback column indices).
@@ -155,7 +166,7 @@ def lstsq_mice(vals, miss, cfg):
         return x, 0, True, []
     fallback = set()
     converged = False
-    for sweeps in range(1, cfg.iterations + 1):
+    for sweeps in range(1, iterations + 1):
         previous = x[miss].copy()
         for j in targets:
             rows = ~miss[:, j]
@@ -168,13 +179,13 @@ def lstsq_mice(vals, miss, cfg):
                 continue
             pred = np.column_stack([np.ones(int(miss[:, j].sum())), x[miss[:, j]][:, others]])
             x[miss[:, j], j] = pred @ beta
-        if np.max(np.abs(x[miss] - previous) / cell_sd) < cfg.convergence_tol:
+        if np.max(np.abs(x[miss] - previous) / cell_sd) < convergence_tol:
             converged = True
             break
     return x, sweeps, converged, sorted(fallback)
 
 
-def assert_matches_lstsq_loop(vals, miss, cfg, duplicate=False):
+def assert_matches_lstsq_loop(vals, miss, iterations=10, duplicate=False):
     """impute_mice against `lstsq_mice`, on the raw and on standardized columns.
 
     Both find the same singular regressions. Gaps are read per column in
@@ -193,8 +204,9 @@ def assert_matches_lstsq_loop(vals, miss, cfg, duplicate=False):
     copies c0; those fits fall back, and there all the loops agree exactly.
     """
     n, d = vals.shape
-    res = impute_mice(matrix_from(vals, miss), cfg)
-    ref, sweeps, converged, fallback = lstsq_mice(vals, miss, cfg)
+    tol = 1e-6  # impute_mice's default
+    res = impute_mice(matrix_from(vals, miss), iterations, tol)
+    ref, sweeps, converged, fallback = lstsq_mice(vals, miss, iterations, tol)
     assert res.mean_fallback_columns == [f"c{j}" for j in fallback]
     if duplicate and miss.any():
         assert fallback == sorted(set(np.flatnonzero(miss.any(axis=0))))
@@ -208,14 +220,13 @@ def assert_matches_lstsq_loop(vals, miss, cfg, duplicate=False):
     bound = 16 * eps * (ks**2 + ks * kr)
     gap = np.abs(res.matrix.values - ref).max(axis=0) / sd
     assert np.all(gap <= bound)
-    if np.max(bound) < cfg.convergence_tol / 10:
+    if np.max(bound) < tol / 10:
         # the reference's own error leaves the stopping rule's tolerance
         # resolved, so both loops stop at the same sweep
         assert (res.sweeps, res.converged) == (sweeps, converged)
 
-    to_cap = MiceConfig(iterations=cfg.iterations, convergence_tol=0.0)
-    res = impute_mice(matrix_from(vals, miss), to_cap)
-    z, _, _, _ = lstsq_mice((vals - mu) / sd, miss, to_cap)
+    res = impute_mice(matrix_from(vals, miss), iterations, 0.0)
+    z, _, _, _ = lstsq_mice((vals - mu) / sd, miss, iterations, 0.0)
     gap = np.abs(res.matrix.values - (mu + sd * z)).max(axis=0) / sd
     assert np.all(gap <= 16 * eps * ks * min(ks, 1e3) * (1 + np.abs(mu) / sd))
 
@@ -246,10 +257,10 @@ def mice_problems(draw):
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(mice_problems(), st.sampled_from([MiceConfig(), MiceConfig(iterations=3)]))
-def test_gram_sweeps_match_a_per_column_lstsq_loop(problem, cfg):
+@given(mice_problems(), st.sampled_from([10, 3]))
+def test_gram_sweeps_match_a_per_column_lstsq_loop(problem, iterations):
     vals, miss, duplicate = problem
-    assert_matches_lstsq_loop(vals, miss, cfg, duplicate)
+    assert_matches_lstsq_loop(vals, miss, iterations, duplicate)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -268,4 +279,4 @@ def test_gram_sweeps_match_lstsq_on_ill_scaled_columns(seed, near_copy):
     miss = rng.random((n, d)) < 0.15
     miss[:2] = False
     miss[miss.all(axis=1), -1] = False
-    assert_matches_lstsq_loop(np.where(miss, np.nan, vals), miss, MiceConfig())
+    assert_matches_lstsq_loop(np.where(miss, np.nan, vals), miss)

@@ -26,7 +26,6 @@ from multicause.errors import NumericError, ValidationError
 import multicause.ppca as ppca
 from multicause.ppca import (
     DEFAULT_K,
-    PpcaConfig,
     PpcaModel,
     fit_ppca,
     _init_params,
@@ -35,7 +34,7 @@ from multicause.ppca import (
     predictive_check,
 )
 
-TIGHT = PpcaConfig(max_iter=5000, tol=1e-15, seed=0)
+TIGHT = dict(max_iter=5000, tol=1e-15, seed=0)
 
 
 def matrix_from(vals):
@@ -77,7 +76,7 @@ W_TRUE = np.array(
 
 def test_em_reaches_the_closed_form_maximum():
     m, _ = sample_ppca(800, W_TRUE, 0.3, seed=1)
-    model = fit_ppca(m, 2, TIGHT)
+    model = fit_ppca(m, 2, **TIGHT)
     assert model.converged
     target = closed_form_max_loglik(m, 2)
     assert abs(model.log_likelihood - target) < 1e-6
@@ -87,14 +86,14 @@ def test_em_reaches_the_closed_form_maximum():
 
 def test_fit_trace_is_monotone():
     m, _ = sample_ppca(400, W_TRUE, 0.5, seed=2)
-    model = fit_ppca(m, 2, PpcaConfig(max_iter=200, seed=3))
+    model = fit_ppca(m, 2, max_iter=200, seed=3)
     trace = np.array(model.fit_trace)
     assert np.all(np.diff(trace) >= -1e-7 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 def test_loadings_span_the_true_subspace():
     m, _ = sample_ppca(4000, W_TRUE, 0.1, seed=4)
-    model = fit_ppca(m, 2, TIGHT)
+    model = fit_ppca(m, 2, **TIGHT)
     angles = scipy.linalg.subspace_angles(model.loadings, W_TRUE)
     assert np.degrees(angles).max() < 5.0
 
@@ -102,7 +101,7 @@ def test_loadings_span_the_true_subspace():
 def test_fitted_covariance_matches_spectral_solution():
     # the optimal marginal covariance is U_K (L_K - s2 I) U_K' + s2 I
     m, _ = sample_ppca(600, W_TRUE, 0.4, seed=5)
-    model = fit_ppca(m, 2, TIGHT)
+    model = fit_ppca(m, 2, **TIGHT)
     x = m.values
     xc = x - x.mean(axis=0)
     s = xc.T @ xc / x.shape[0]
@@ -162,7 +161,7 @@ def test_posterior_mean_single_factor_hand_formula():
 
 def test_partial_posterior_with_nothing_held_matches_full():
     m, _ = sample_ppca(80, W_TRUE, 0.3, seed=7)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0))
+    model = fit_ppca(m, 2, seed=0)
     empty = HoldoutMask(np.zeros((80, 6), dtype=bool))
     full = posterior_mean_partial(model, m)
     part = posterior_mean_partial(model, m, empty)
@@ -172,7 +171,7 @@ def test_partial_posterior_with_nothing_held_matches_full():
 
 def test_partial_posterior_ignores_held_coordinates():
     m, _ = sample_ppca(60, W_TRUE, 0.3, seed=8)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0))
+    model = fit_ppca(m, 2, seed=0)
     mask = make_holdout(m, rate=0.34, seed=9)
     z = posterior_mean_partial(model, m, mask)
     poisoned = m.values.copy()
@@ -188,12 +187,12 @@ def test_partial_posterior_ignores_held_coordinates():
 
 
 def test_shift_equivariance_of_the_fit():
-    cfg = PpcaConfig(max_iter=150, tol=0.0, seed=1)
+    cfg = dict(max_iter=150, tol=0.0, seed=1)
     m, _ = sample_ppca(300, W_TRUE, 0.4, seed=10)
     shift = np.arange(6, dtype=float)
     shifted = matrix_from(m.values + shift)
-    a = fit_ppca(m, 2, cfg)
-    b = fit_ppca(shifted, 2, cfg)
+    a = fit_ppca(m, 2, **cfg)
+    b = fit_ppca(shifted, 2, **cfg)
     assert np.allclose(a.mean + shift, b.mean, atol=1e-10)
     assert np.allclose(a.loadings, b.loadings, atol=1e-8)
     assert a.noise_variance == pytest.approx(b.noise_variance, abs=1e-8)
@@ -202,10 +201,10 @@ def test_shift_equivariance_of_the_fit():
 def test_masked_fit_never_sees_held_cells():
     m, _ = sample_ppca(400, W_TRUE, 0.3, seed=11)
     mask = make_holdout(m, rate=0.2, seed=12)
-    clean = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    clean = fit_ppca(m, 2, mask=mask, seed=0)
     poisoned = m.values.copy()
     poisoned[mask.held] = -123.0
-    dirty = fit_ppca(matrix_from(poisoned), 2, PpcaConfig(seed=0), mask=mask)
+    dirty = fit_ppca(matrix_from(poisoned), 2, mask=mask, seed=0)
     assert np.array_equal(clean.loadings, dirty.loadings)
     assert clean.noise_variance == dirty.noise_variance
     assert clean.log_likelihood == dirty.log_likelihood
@@ -214,7 +213,7 @@ def test_masked_fit_never_sees_held_cells():
 def test_masked_fit_recovers_the_model():
     m, _ = sample_ppca(3000, W_TRUE, 0.2, seed=13)
     mask = make_holdout(m, rate=0.2, seed=14)
-    model = fit_ppca(m, 2, PpcaConfig(max_iter=2000, tol=1e-12, seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, max_iter=2000, tol=1e-12, seed=0)
     angles = scipy.linalg.subspace_angles(model.loadings, W_TRUE)
     assert np.degrees(angles).max() < 5.0
     assert model.noise_variance == pytest.approx(0.2, rel=0.15)
@@ -223,7 +222,7 @@ def test_masked_fit_recovers_the_model():
 def test_predictive_check_calibrated_and_deterministic():
     m, _ = sample_ppca(400, W_TRUE, 0.3, seed=15)
     mask = make_holdout(m, rate=0.2, seed=16)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, seed=0)
     res = predictive_check(model, m, mask)
     again = predictive_check(model, m, mask)
     assert res.score == again.score
@@ -235,7 +234,7 @@ def test_predictive_check_calibrated_and_deterministic():
 def test_predictive_check_flags_displaced_holdout():
     m, _ = sample_ppca(300, W_TRUE, 0.3, seed=17)
     mask = make_holdout(m, rate=0.2, seed=18)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, seed=0)
     bad = m.values.copy()
     bad[mask.held] += 10.0 * math.sqrt(model.noise_variance + 2.0)
     res = predictive_check(model, matrix_from(bad), mask)
@@ -246,7 +245,7 @@ def test_predictive_check_flags_displaced_holdout():
 def test_predictive_check_input_validation():
     m, _ = sample_ppca(50, W_TRUE, 0.3, seed=19)
     mask = make_holdout(m, rate=0.2, seed=20)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, seed=0)
     bare = HoldoutMask(np.zeros((50, 6), dtype=bool))
     with pytest.raises(ValidationError) as err:
         predictive_check(model, m, bare)
@@ -263,7 +262,7 @@ def test_predictive_check_forms_one_posterior(monkeypatch):
     # the check reads its means and M_g^-1 from one pass over the patterns
     m, _ = sample_ppca(200, W_TRUE, 0.3, seed=15)
     mask = make_holdout(m, rate=0.34, seed=16)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, seed=0)
     calls = []
     for name in ("_patterns", "_precisions"):
         kernel = getattr(ppca, name)
@@ -295,6 +294,16 @@ def test_fit_rejects_k_out_of_range_and_rank_deficiency():
         fit_ppca(m, 2, mask=HoldoutMask(held))
 
 
+@pytest.mark.parametrize(
+    "setting", [{"max_iter": 0}, {"max_iter": math.nan}, {"tol": -1e-9}, {"tol": math.nan}]
+)
+def test_fit_rejects_stop_rule_settings_out_of_range(setting):
+    m, _ = sample_ppca(100, W_TRUE, 0.3, seed=21)
+    name, = setting
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        fit_ppca(m, 2, **setting)
+
+
 def test_missing_data_is_rejected_everywhere():
     vals = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 0.0], [0.5, 0.5, 0.5]])
     m = CauseMatrix(vals, ["a", "b", "c"], ["u0", "u1", "u2"])
@@ -313,7 +322,7 @@ def test_missing_data_is_rejected_everywhere():
 
 def test_model_serialization_round_trip():
     m, _ = sample_ppca(200, W_TRUE, 0.3, seed=22)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0))
+    model = fit_ppca(m, 2, seed=0)
     payload = model.to_dict()
     back = PpcaModel.from_dict(payload)
     assert np.array_equal(back.loadings, model.loadings)
@@ -418,7 +427,7 @@ def observed_of(m, mask):
 def test_fitted_loglik_matches_scipy_row_by_row(problem):
     m, k, mask, seed = problem
     observed = observed_of(m, mask)
-    model = fit_ppca(m, k, PpcaConfig(max_iter=15, seed=seed), mask=mask)
+    model = fit_ppca(m, k, mask=mask, max_iter=15, seed=seed)
     w, mu, s2 = model.loadings, model.mean, model.noise_variance
     expected = 0.0
     for i, obs in enumerate(observed):
@@ -459,7 +468,7 @@ def test_fitted_loglik_matches_scipy_at_one_pattern_per_row():
     mask = make_holdout(m, rate=0.2, seed=0)
     observed = ~mask.held
     assert len(_patterns(observed)[2]) > 390
-    model = fit_ppca(m, 5, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 5, mask=mask, seed=0)
     w, mu, s2 = model.loadings, model.mean, model.noise_variance
     expected = 0.0
     for i, obs in enumerate(observed):
@@ -562,7 +571,7 @@ def test_single_held_entry_scores_are_chi_square_tails():
     m, _ = sample_ppca(300, W_TRUE, 0.3, seed=21)
     mask = make_holdout(m, rate=0.2, seed=22)
     assert np.all(mask.held.sum(axis=1) == 1)
-    model = fit_ppca(m, 2, PpcaConfig(seed=0), mask=mask)
+    model = fit_ppca(m, 2, mask=mask, seed=0)
     res = predictive_check(model, m, mask)
     np.testing.assert_allclose(res.per_unit_scores, reference_check(model, m, mask), rtol=1e-12)
 
@@ -663,11 +672,11 @@ def test_check_scores_follow_units_not_rows(problem, data):
     assert np.array_equal(scores(*rows_of(m, mask, subset)), full[subset])
 
 
-def plain_em(m, k, cfg, mask=None):
+def plain_em(m, k, mask=None, *, seed=0, max_iter=1000, tol=1e-8):
     """Unaccelerated EM, row by row, from fit_ppca's start: the trace of every iterate.
 
     It stops by the rule fit_ppca uses: one EM step raises the
-    log-likelihood by at most cfg.tol relative.
+    log-likelihood by at most tol relative.
     """
     x = m.values
     observed = observed_of(m, mask)
@@ -687,15 +696,15 @@ def plain_em(m, k, cfg, mask=None):
         ezz = s2 * np.linalg.inv(m_rows) + z[:, :, None] * z[:, None, :]
         return np.einsum("nd,nkl->dkl", obs, ezz), xc.T @ z, float(ll)
 
-    w, s2 = _init_params(x, observed, k, cfg.seed)
+    w, s2 = _init_params(x, observed, k, seed)
     a, b, ll = estep(w, s2)
     trace = [ll]
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         w = np.linalg.solve(a, b[:, :, None])[:, :, 0]
         s2 = float((sum_x2 - 2 * np.sum(b * w) + np.einsum("jk,jkl,jl->", w, a, w)) / h.sum())
         a, b, ll = estep(w, s2)
         trace.append(ll)
-        if ll - trace[-2] <= cfg.tol * max(1.0, abs(trace[-2])):
+        if ll - trace[-2] <= tol * max(1.0, abs(trace[-2])):
             break
     return trace
 
@@ -724,9 +733,9 @@ def em_problems(draw):
 @given(em_problems(), st.sampled_from([1e-8, 1e-10]))
 def test_squarem_trace_is_monotone_and_no_worse_than_plain_em(problem, tol):
     m, k, mask, seed = problem
-    cfg = PpcaConfig(max_iter=5000, tol=tol, seed=seed)
-    model = fit_ppca(m, k, cfg, mask=mask)
-    reference = plain_em(m, k, cfg, mask)
+    cfg = dict(max_iter=5000, tol=tol, seed=seed)
+    model = fit_ppca(m, k, mask, **cfg)
+    reference = plain_em(m, k, mask, **cfg)
     assert model.converged
     assert np.all(np.diff(model.fit_trace) >= 0.0)
     assert model.log_likelihood == model.fit_trace[-1]
@@ -751,7 +760,7 @@ def test_unbounded_likelihood_never_yields_a_bogus_maximum(seed):
     held = rng.random((61, 7)) < 0.35
     held[-2:] = False
     held[held.all(axis=1), 0] = False
-    model = fit_ppca(m, 6, PpcaConfig(seed=seed), mask=HoldoutMask(held))
+    model = fit_ppca(m, 6, mask=HoldoutMask(held), seed=seed)
     w, mu, s2 = model.loadings, model.mean, model.noise_variance
     expected = 0.0
     for i, obs in enumerate(~held):
@@ -775,7 +784,7 @@ def test_extrapolation_whose_noise_variance_underflows_is_rejected(seed):
     held = np.zeros((60, 5), dtype=bool)
     for i in range(57):
         held[i, rng.choice(5, 2, replace=False)] = True
-    model = fit_ppca(matrix_from(x), 4, PpcaConfig(seed=0), mask=HoldoutMask(held))
+    model = fit_ppca(matrix_from(x), 4, mask=HoldoutMask(held), seed=0)
     assert not model.converged
     assert np.all(np.diff(model.fit_trace) >= 0.0)
 
@@ -784,8 +793,8 @@ def test_squarem_needs_far_fewer_e_steps_than_plain_em():
     rng = np.random.default_rng(7)
     m, _ = sample_ppca(400, rng.standard_normal((30, 5)), 1.0, seed=7)
     mask = make_holdout(m, rate=0.2, seed=0)
-    model = fit_ppca(m, 5, PpcaConfig(seed=0), mask=mask)
-    reference = plain_em(m, 5, PpcaConfig(seed=0), mask)
+    model = fit_ppca(m, 5, mask=mask, seed=0)
+    reference = plain_em(m, 5, mask, seed=0)
     assert model.iterations * 2 < len(reference) - 1
     assert model.log_likelihood > reference[-1]
 
@@ -805,21 +814,43 @@ def test_failed_extrapolations_fall_back_to_the_em_double_step(monkeypatch):
 
     m, _ = sample_ppca(300, W_TRUE, 0.5, seed=8)
     mask = make_holdout(m, rate=0.2, seed=1)
-    cfg = PpcaConfig(seed=2)
     monkeypatch.setattr(ppca, "_precisions", failing)
-    model = fit_ppca(m, 2, cfg, mask=mask)
+    model = fit_ppca(m, 2, mask, seed=2)
     monkeypatch.undo()
-    reference = plain_em(m, 2, cfg, mask)
+    reference = plain_em(m, 2, mask, seed=2)
     trace = model.fit_trace
     assert model.converged and len(calls) == model.iterations + 1
     np.testing.assert_allclose(trace[:-1], reference[: 2 * len(trace) - 2 : 2], rtol=1e-10)
     assert np.all(np.diff(trace) >= 0.0)
-    assert model.log_likelihood >= reference[-1] - cfg.tol * abs(reference[-1])
+    assert model.log_likelihood >= reference[-1] - 1e-8 * abs(reference[-1])
+
+
+def test_em_double_step_scoring_below_theta1_stops_the_fit_converged(monkeypatch):
+    # The calls go start, theta1, x, theta2. With x rejected and theta2's
+    # log-determinants raised by 1e3 (its log-likelihood lowered), the
+    # steps are taken to be inside the rounding: the fit keeps theta1 and
+    # stops converged after 3 E-steps.
+    calls = []
+    precisions = ppca._precisions
+
+    def patched(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericError("posterior precision lost positive definiteness")
+        minv, logdet = precisions(*args)
+        return minv, logdet + 1e3 if len(calls) == 4 else logdet
+
+    m, _ = sample_ppca(300, W_TRUE, 0.5, seed=8)
+    monkeypatch.setattr(ppca, "_precisions", patched)
+    model = fit_ppca(m, 2, make_holdout(m, rate=0.2, seed=1), seed=2)
+    assert model.converged and model.iterations == 3 and len(calls) == 4
+    assert len(model.fit_trace) == 2 and model.fit_trace[1] > model.fit_trace[0]
+    assert model.log_likelihood == model.fit_trace[1]
 
 
 def test_budget_of_one_e_step_is_reported_unconverged():
     m, _ = sample_ppca(200, W_TRUE, 0.5, seed=9)
-    model = fit_ppca(m, 2, PpcaConfig(max_iter=1, seed=0))
+    model = fit_ppca(m, 2, max_iter=1, seed=0)
     assert not model.converged
     assert model.iterations == 1
     assert len(model.fit_trace) == 2 and model.fit_trace[1] > model.fit_trace[0]
@@ -828,5 +859,5 @@ def test_budget_of_one_e_step_is_reported_unconverged():
 def test_e_step_budget_counts_rejected_extrapolations():
     m, _ = sample_ppca(400, W_TRUE, 0.5, seed=10)
     for budget in range(1, 12):
-        model = fit_ppca(m, 2, PpcaConfig(max_iter=budget, tol=0.0, seed=0))
+        model = fit_ppca(m, 2, max_iter=budget, tol=0.0, seed=0)
         assert model.iterations == budget and not model.converged

@@ -14,7 +14,7 @@ import pytest
 
 from multicause.dataset import CauseMatrix, make_holdout, standardize
 from multicause.errors import ValidationError
-from multicause.ppca import PpcaConfig, fit_ppca, posterior_mean_partial
+from multicause.ppca import fit_ppca, posterior_mean_partial
 from multicause.robustness import SweepCell, sweep
 from multicause.synthetic import config_flip, generate
 from multicause.tables import canonical_json
@@ -31,7 +31,7 @@ def matrix_from(vals):
 
 def pipeline_surrogates(m, k, seed=0):
     mask = make_holdout(m, rate=0.2, seed=seed)
-    model = fit_ppca(m, k, PpcaConfig(seed=seed), mask=mask)
+    model = fit_ppca(m, k, mask=mask, seed=seed)
     return posterior_mean_partial(model, m, mask)
 
 
