@@ -237,8 +237,6 @@ def _load_model(path: str, m: CauseMatrix) -> PpcaModel:
         raise ValidationError(
             "model was fitted on different columns; rerun fit-ppca on this input"
         )
-    if model.n_causes != m.n_causes:
-        raise ValidationError("model dimension disagrees with the cause columns")
     return model
 
 

@@ -324,10 +324,15 @@ def write_csv(
         )
 
 
+def check_complete(m: CauseMatrix, what: str) -> None:
+    """A stage that reads every cell, `what`, refuses a matrix with a missing one."""
+    if m.has_missing:
+        raise ValidationError(f"{what} requires a complete matrix; impute first")
+
+
 def standardize(m: CauseMatrix) -> tuple[CauseMatrix, Standardization]:
     """Center and scale each column to mean 0, sample sd 1 (ddof=1)."""
-    if m.has_missing:
-        raise ValidationError("standardize requires a complete matrix; impute first")
+    check_complete(m, "standardize")
     mean = m.values.mean(axis=0)
     scale = m.values.std(axis=0, ddof=1)
     zero = np.flatnonzero(scale == 0.0)
@@ -352,8 +357,7 @@ def correlation_screen(
     higher mean absolute correlation to the remaining columns is dropped,
     ties going to the later column in input order.
     """
-    if m.has_missing:
-        raise ValidationError("correlation screen requires a complete matrix")
+    check_complete(m, "correlation_screen")
     check_corr_threshold(threshold)
     if m.n_causes == 1:
         return m, []
@@ -402,7 +406,7 @@ def _hash64(*words):
 
 
 def check_seed(seed: int) -> None:
-    """A seed is one uint64 word, as `_hash64` keys on it: an integer in [0, 2**64)."""
+    """Every seeded stage's seed rule: [0, 2**64), one uint64 word as `_hash64` keys on it."""
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -411,16 +415,14 @@ def _rng_permutation(n: int, seed: int) -> np.ndarray:
     """numpy's `default_rng(seed).permutation(n)`, replayed in Python ints.
 
     So numpy.random, and the OpenSSL it loads through `secrets`, stay unloaded.
-    SeedSequence hashes the seed's 32-bit words into 4 uint64 that seed PCG64
-    (O'Neill 2014); each XSL-RR output gives two 32-bit draws, low half first;
-    `random_interval(i)` masks a draw to i's bit length and rejects it above i;
-    the shuffle swaps element i with it for i = n-1 down to 1. A test pins this
-    to numpy's generator, so a numpy release that changes the stream fails it.
+    SeedSequence hashes the seed's two 32-bit words, low first and zero-padded,
+    into 4 uint64 that seed PCG64 (O'Neill 2014); each XSL-RR output gives two
+    32-bit draws, low half first; `random_interval(i)` masks one to i's bit
+    length and rejects it above i; the shuffle swaps element i with it for
+    i = n-1 down to 1; a test fails if a numpy release changes that stream.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     m32, m64, m128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
     mixing, output = [0x43B0D7E5, 0x931E8875], [0x8B51F9DD, 0x58F38DED]
 
     def hashmix(v, h):  # h = [hash constant, its multiplier]; the constant advances
@@ -432,20 +434,20 @@ def _rng_permutation(n: int, seed: int) -> np.ndarray:
         r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
         return r ^ r >> 16
 
-    pool = [hashmix(words[i] if i < len(words) else 0, mixing) for i in range(4)]
+    pool = [hashmix(w, mixing) for w in (seed & m32, seed >> 32, 0, 0)]
     for s, d in itertools.permutations(range(4), 2):
         pool[d] = mix(pool[d], hashmix(pool[s], mixing))
-    for w, d in itertools.product(words[4:], range(4)):
-        pool[d] = mix(pool[d], hashmix(w, mixing))
     # generate_state(4, uint64): 8 uint32 words, each pair little-endian
     out = [hashmix(pool[i % 4], output) for i in range(8)]
     s0, s1, i0, i1 = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
     # PCG64 seeding: inc = 2 * sequence + 1; from state 0, step, add the seed, step
     mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (i0 << 65 | i1 << 1 | 1) & m128
     state = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
-    perm, spare = list(range(n)), None
+    perm, spare, mask = list(range(n)), None, m64
     for i in range(n - 1, 0, -1):
-        mask, j = (1 << i.bit_length()) - 1, n  # draw until j <= i
+        while mask >> 1 >= i:  # keep mask the least 2**b - 1 >= i
+            mask >>= 1
+        j = n  # draw until j <= i
         while j > i:
             if spare is None:  # step the LCG; use the output's low half, keep its high
                 state = (state * mult + inc) & m128
@@ -482,6 +484,7 @@ def make_holdout(m: CauseMatrix, rate: float = 0.2, seed: int = 0) -> HoldoutMas
     if m.n_causes < 2:
         raise ValidationError("holdout requires at least 2 cause columns")
     check_holdout_rate(rate)
+    check_seed(seed)
     d = m.n_causes
     per_row = min(max(int(rate * d), 1), d - 1)
     draws = _hash64(seed, _unit_keys(m.unit_ids)[:, None], np.arange(d))

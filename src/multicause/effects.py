@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CauseMatrix, CovariateMatrix, _rng_permutation
+from .dataset import CauseMatrix, CovariateMatrix, _rng_permutation, check_complete
 from .errors import RankDeficiencyError, ValidationError
 from .tdist import t_quantile, t_two_sided_p
 
@@ -168,8 +168,7 @@ def outcome_design(
     z{j+1}, which no cause or covariate may take. The surrogates,
     covariates and each of `outcomes` must have one row per unit.
     """
-    if a.has_missing:
-        raise ValidationError("causes must be complete; impute first")
+    check_complete(a, "outcome_design")
     n = a.n_units
     names = ["Intercept", *(a.column_names if causes is None else causes)]
     # copy columns only for a subset: the copy is Fortran-ordered, and the
@@ -252,10 +251,9 @@ def predictive_comparison(
 ) -> dict:
     """Held-out MSE/MAE of the causal versus the non-causal regression.
 
-    `split` is the test fraction of the shuffle split that
-    `default_rng(seed).permutation(n)` draws, as `_rng_permutation`
-    replays it (seed >= 0); both models are fitted on the same training rows
-    and scored on the same test rows.
+    `split` is the test fraction of the split `default_rng(seed).permutation(n)`
+    draws, for a seed in [0, 2**64), as `_rng_permutation` replays it; both
+    models are fitted on the same training rows and scored on the same test rows.
     """
     check_split(split)
     yv = _as_vector(y)

@@ -53,8 +53,8 @@ class PredictiveCheckFailed(MulticauseError):
 
     exit_code = 2
     hint = (
-        "the factor model cannot reproduce held-out causes;"
-        " inspect the data, try another K, or rerun with --force"
+        "the factor model cannot reproduce held-out causes; inspect the data,"
+        " refit with another -k by fit-ppca or effects, or pass --force to effects"
     )
 
     def __init__(self, score: float, threshold: float):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CauseMatrix, HoldoutMask, _hash64
+from .dataset import CauseMatrix, HoldoutMask, _hash64, check_complete, check_seed
 from .errors import NumericError, ValidationError
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -130,11 +130,6 @@ class PredictiveCheckResult:
     threshold: float
     passed: bool
     method: str = "mean"  # the score is the mean of the per-unit scores
-
-
-def _require_complete(m: CauseMatrix, what: str) -> None:
-    if m.has_missing:
-        raise ValidationError(f"{what} requires a complete matrix; impute first")
 
 
 def _init_params(
@@ -239,7 +234,8 @@ def fit_ppca(
         raise ValidationError("max_iter must be >= 1")
     if not tol >= 0:
         raise ValidationError("tol must be >= 0")
-    _require_complete(m, "fit_ppca")
+    check_seed(seed)
+    check_complete(m, "fit_ppca")
     x = m.values
     n, d = x.shape
     if not 1 <= k < d:
@@ -378,7 +374,7 @@ def _posterior(
     model: PpcaModel, m: CauseMatrix, mask: HoldoutMask | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(observed, patterns, pattern index per row, stacked M_g^-1, E[z | a_obs])."""
-    _require_complete(m, "the posterior over z")
+    check_complete(m, "the posterior over z")
     n, d = m.values.shape
     if d != model.n_causes:
         raise ValidationError("matrix width disagrees with the model")

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import CauseMatrix
+from .dataset import CauseMatrix, check_seed
 from .errors import ValidationError
 
 ASPECT_NAMES = [
@@ -80,6 +80,7 @@ class SyntheticConfig:
         if min(self.noise_sd_causes, self.noise_sd_outcome) <= 0:
             raise ValidationError("noise standard deviations must be positive")
         check_missing_rate(self.missing_rate)
+        check_seed(self.seed)
         if (self.mediator_theta is None) != (self.mediator_lambda is None):
             raise ValidationError("mediator_theta and mediator_lambda come together")
         if self.mediator_theta is not None:

@@ -12,13 +12,15 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from multicause import cli
 from multicause.cli import COMMANDS, OUTPUT_DIR_ENV, build_parser, main
-from multicause.ppca import fit_ppca
+from multicause.dataset import correlation_screen, load_csv, make_holdout, standardize
+from multicause.ppca import fit_ppca, posterior_mean_partial
 from multicause.tables import canonical_json
 
 
@@ -254,6 +256,24 @@ def test_failed_check_exits_2_and_still_writes_its_report(
     assert ": FAILED" in (tmp_path / "report.txt").read_text()
 
 
+def test_failed_gate_hint_names_only_flags_of_the_commands_it_names(
+    flip_data, mediation_data, fit_dir, tmp_path, capsys
+):
+    # check and effects both stop at a failed gate and print one hint, so
+    # each flag it names must belong to a command it names
+    checked = ["check", *contract_argv("check", flip_data, mediation_data, fit_dir)]
+    hints = set()
+    for argv in (checked, effects_args(flip_data, tmp_path / "effects")):
+        assert run(*argv, "--check-threshold", 0.99, "--out", tmp_path / argv[0]) == 2
+        hints.add(capsys.readouterr().err.split("\nhint: ", 1)[1])
+    (hint,) = hints
+    named = [c for c in COMMANDS if re.search(rf"(?<![\w-]){c}(?![\w-])", hint)]
+    flags = re.findall(r"(?<![\w-])--?[a-z][\w-]*", hint)
+    assert named and flags
+    for flag in flags:
+        assert any(flag in names for c in named for names, _ in COMMANDS[c][2]), flag
+
+
 def test_missing_input_fails_with_stage_and_hint(tmp_path, capsys):
     code = run(
         "effects",
@@ -346,6 +366,28 @@ def test_seed_outside_64_bits_is_rejected_before_any_stage(seed, flip_data, tmp_
 def test_largest_seed_runs_end_to_end(flip_data, tmp_path):
     assert run(*seeded_effects_args(flip_data, tmp_path, 2**64 - 1)) == 0
     assert read_json(tmp_path, "holdout.json")["seed"] == 2**64 - 1
+
+
+def test_compare_predictive_splits_by_both_words_of_the_largest_seed(flip_data, tmp_path):
+    # effects never draws a split; this seed reaches the replay with both
+    # 32-bit words set, and the split must be numpy's own for that seed
+    seed = 2**64 - 1
+    scored = ["--input", flip_data / "data.csv", "--outcome", "popularity", "--corr-threshold", 0.95]
+    assert run("compare-predictive", *scored, "--seed", seed, "--out", tmp_path) == 0
+    comparison = read_json(tmp_path, "report.json")["comparison"]
+    k = read_json(tmp_path, "manifest.json")["parameters"]["k"]
+    m, y, _ = load_csv(str(flip_data / "data.csv"), "popularity")
+    m, _ = correlation_screen(standardize(m)[0], 0.95)
+    mask = make_holdout(m, seed=seed)
+    z = posterior_mean_partial(fit_ppca(m, k, mask, seed=seed), m, mask)
+    perm = np.random.default_rng(seed).permutation(len(y))
+    n_test = int(0.2 * len(y))  # the default --split
+    test, train = perm[:n_test], perm[n_test:]
+    causes = np.column_stack([np.ones(len(y)), m.values])
+    for label, design in (("causal", np.column_stack([causes, z])), ("noncausal", causes)):
+        err = y[test] - design[test] @ np.linalg.lstsq(design[train], y[train], rcond=None)[0]
+        assert comparison[label]["mse"] == pytest.approx(np.mean(err * err), rel=1e-10)
+        assert comparison[label]["mae"] == pytest.approx(np.mean(np.abs(err)), rel=1e-10)
 
 
 def test_unknown_column_is_rejected(flip_data, tmp_path, capsys):
@@ -801,9 +843,10 @@ NARROW_MODEL = {  # a valid K=1 model on 4 causes, with no "columns" to compare 
 @pytest.mark.parametrize(
     "model, message",
     [
-        (None, "cannot read '"),
-        ("{not json", "bad model file: "),
-        (NARROW_MODEL, "model dimension disagrees with the cause columns"),
+        (None, "error [cli] cannot read '"),
+        ("{not json", "error [cli] bad model file: "),
+        # the model's own width check, made where the model is applied
+        (NARROW_MODEL, "error [ppca] matrix width disagrees with the model\n"),
     ],
     ids=["absent", "not-json", "width-differs-without-columns"],
 )
@@ -814,7 +857,7 @@ def test_check_refuses_a_bad_model_file(model, message, flip_data, fit_dir, tmp_
     scored = ["--input", flip_data / "data.csv", "--outcome", "popularity", "--corr-threshold", 0.95]
     saved = ["--model", path, "--mask", fit_dir / "holdout.json"]
     assert run("check", *scored, *saved, "--out", tmp_path / "chk") == 1
-    assert capsys.readouterr().err.startswith(f"error [cli] {message}")
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "chk").exists()
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from multicause.dataset import (
     standardize,
     write_csv,
 )
+from multicause.effects import (
+    estimate_effects_causal,
+    estimate_effects_noncausal,
+    predictive_comparison,
+)
 from multicause.errors import MulticauseError, ParseError, ValidationError
+from multicause.ppca import PpcaModel, fit_ppca, posterior_mean_partial, predictive_check
+from multicause.synthetic import SCENARIOS
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -558,8 +566,7 @@ def test_hash64_pins_splitmix64():
     assert splitmix64_chain(0) == 0xE220A8397B1DCDAF == int(dataset._hash64(0))
 
 
-# 2**200 + 5 has more 32-bit words than SeedSequence's 4-word pool
-RNG_EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 3, 2**200 + 5]
+RNG_EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 def assert_replays_numpy(n, seed):
@@ -588,8 +595,60 @@ def test_rng_permutation_replays_numpy(seed, n):
 
 
 def test_rng_permutation_rejects_a_negative_seed():
-    with pytest.raises(ValidationError, match="non-negative"):
+    with pytest.raises(ValidationError, match=re.escape("seed must be in [0, 2**64), got -1")):
         dataset._rng_permutation(5, -1)
+
+
+def seeded_stages():
+    """Each seeded stage as a call on a seed, its other inputs valid."""
+    rng = np.random.default_rng(5)
+    m = CauseMatrix(rng.standard_normal((40, 4)), list("abcd"), [f"u{i}" for i in range(40)])
+    z, y = rng.standard_normal((40, 1)), rng.standard_normal(40)
+    return {
+        "make_holdout": lambda seed: make_holdout(m, seed=seed),
+        "fit_ppca": lambda seed: fit_ppca(m, 1, seed=seed),
+        "predictive_comparison": lambda seed: predictive_comparison(m, z, y, seed=seed),
+        "SyntheticConfig": lambda seed: SCENARIOS["flip"](n_units=100, seed=seed),
+    }
+
+
+# 2**70 + 3 and 2**200 + 5 are wider than the two words SeedSequence is replayed on
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70 + 3, 2**200 + 5])
+@pytest.mark.parametrize("stage", sorted(seeded_stages()))
+def test_every_seeded_stage_keeps_the_one_seed_rule(stage, seed):
+    call = seeded_stages()[stage]
+    call(0)  # the other inputs are valid
+    with pytest.raises(ValidationError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+        call(seed)
+
+
+def incomplete_stages():
+    """Each stage that reads every cause cell, as a call on a cause matrix."""
+    rng = np.random.default_rng(6)
+    n = 40
+    z, y = rng.standard_normal((n, 1)), rng.standard_normal(n)
+    mask = HoldoutMask(np.arange(n * 3).reshape(n, 3) % 3 == np.arange(n)[:, None] % 3)
+    model = PpcaModel(rng.standard_normal((3, 1)), np.zeros(3), 1.0, 1, 0.0)
+    return {
+        "standardize": standardize,
+        "correlation_screen": correlation_screen,
+        "estimate_effects_causal": lambda m: estimate_effects_causal(m, z, y),
+        "estimate_effects_noncausal": lambda m: estimate_effects_noncausal(m, y),
+        "fit_ppca": lambda m: fit_ppca(m, 1),
+        "posterior_mean_partial": lambda m: posterior_mean_partial(model, m, mask),
+        "predictive_check": lambda m: predictive_check(model, m, mask),
+    }
+
+
+@pytest.mark.parametrize("stage", sorted(incomplete_stages()))
+def test_every_stage_that_reads_every_cell_keeps_the_one_completeness_check(stage):
+    values = np.random.default_rng(7).standard_normal((40, 3))
+    ids = [f"u{i}" for i in range(40)]
+    call = incomplete_stages()[stage]
+    call(CauseMatrix(values, list("abc"), ids))  # complete: accepted
+    values[3, 1] = np.nan
+    with pytest.raises(ValidationError, match=" requires a complete matrix; impute first$"):
+        call(CauseMatrix(values, list("abc"), ids))
 
 
 def test_unit_keys_chain_the_id_bytes():
