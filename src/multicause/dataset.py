@@ -18,11 +18,11 @@ import itertools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
+from ._record import record
 from .errors import ParseError, ValidationError
 
 MISSING_TOKENS = ("", "NA")
@@ -31,7 +31,7 @@ _MISSING_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-@dataclass(eq=False)
+@record
 class CauseMatrix:
     """Per-unit cause scores; NaN marks an unobserved entry."""
 
@@ -89,7 +89,7 @@ class CauseMatrix:
         return CauseMatrix(values, list(self.column_names), list(self.unit_ids))
 
 
-@dataclass(eq=False)
+@record
 class CovariateMatrix:
     """Optional per-unit covariates appended to outcome regressions."""
 
@@ -106,7 +106,7 @@ class CovariateMatrix:
             raise ValidationError("covariates contain missing values")
 
 
-@dataclass(eq=False)
+@record
 class Standardization:
     """Column means and sample standard deviations (n-1 convention)."""
 
@@ -114,7 +114,7 @@ class Standardization:
     scale: np.ndarray
 
 
-@dataclass(eq=False)
+@record
 class HoldoutMask:
     """True marks a held-out (hidden) cause entry."""
 
@@ -149,7 +149,7 @@ class HoldoutMask:
         return cls(held)
 
 
-@dataclass(eq=False)
+@record
 class OverlapReport:
     failing_rows: list[str]
     passed: bool

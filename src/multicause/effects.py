@@ -11,10 +11,10 @@ the causes plus surrogate confounders; the non-causal one omits them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix, CovariateMatrix, _rng_permutation, check_complete
 from .errors import RankDeficiencyError, ValidationError
 from .tdist import t_quantile, t_two_sided_p
@@ -37,7 +37,7 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
-@dataclass
+@record(eq=True)
 class RegressionRow:
     name: str
     mean: float
@@ -49,7 +49,7 @@ class RegressionRow:
     significance: str
 
 
-@dataclass(eq=False)
+@record
 class RegressionReport:
     rows: list[RegressionRow]  # intercept first
     residual_variance: float
@@ -66,7 +66,7 @@ class RegressionReport:
         return np.array([r.mean for r in self.rows])
 
 
-@dataclass(eq=False)
+@record
 class CausalEffectEstimate:
     beta: np.ndarray  # cause coefficients, in column order
     gamma: np.ndarray  # surrogate coefficients (empty for non-causal fits)

@@ -27,10 +27,9 @@ A singular column keeps its mean fill and is listed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix
 from .errors import ValidationError
 
@@ -47,7 +46,7 @@ def check_iterations(iterations: int) -> None:
         raise ValidationError("iterations must be >= 1")
 
 
-@dataclass(eq=False)
+@record
 class ImputationResult:
     """Completed matrix plus diagnostics for the sweep loop."""
 
@@ -55,7 +54,7 @@ class ImputationResult:
     sweeps: int
     converged: bool
     max_change: float
-    mean_fallback_columns: list[str] = field(default_factory=list)
+    mean_fallback_columns: list[str] = []
 
 
 def impute_mice(

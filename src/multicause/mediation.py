@@ -14,10 +14,9 @@ verifies it to 1e-8 and refuses to return a report that violates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix, CovariateMatrix
 from .errors import NumericError, ValidationError
 from .effects import RegressionReport, _as_vector, check_alpha, ols_fit, outcome_design
@@ -30,7 +29,7 @@ STATUS_FULL = "fully_mediated"
 STATUS_PARTIAL = "partially_mediated"
 
 
-@dataclass(eq=False)
+@record
 class MediationReport:
     step1: RegressionReport  # outcome ~ causes (+ surrogates)
     step2: RegressionReport  # mediator ~ causes (+ surrogates)

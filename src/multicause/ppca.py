@@ -42,10 +42,10 @@ its causes and its mask row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix, HoldoutMask, _hash64, check_complete, check_seed
 from .errors import NumericError, ValidationError
 
@@ -64,14 +64,14 @@ _SERIES_TOL = 1e-12
 _SERIES_TERMS = 10_000
 
 
-@dataclass(eq=False)
+@record
 class PpcaModel:
     loadings: np.ndarray  # (D, K)
     mean: np.ndarray  # (D,)
     noise_variance: float
     k: int
     log_likelihood: float
-    fit_trace: list[float] = field(default_factory=list)
+    fit_trace: list[float] = []
     converged: bool = True
     iterations: int = 0  # E-steps the fit evaluated after its start
 
@@ -123,7 +123,7 @@ class PpcaModel:
             raise ValidationError(f"bad model payload: {exc}") from None
 
 
-@dataclass(eq=False)
+@record
 class PredictiveCheckResult:
     score: float
     per_unit_scores: np.ndarray

@@ -9,23 +9,22 @@ sweep exists to surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix
 from .errors import ValidationError
 from .effects import _as_vector, check_alpha, ols_fit, outcome_design
 
 
-@dataclass
+@record(eq=True)
 class SweepCell:
     coefficient: float
     p_value: float
     significant: bool
 
 
-@dataclass
+@record(eq=True)
 class SignFlip:
     cause: str
     step: int  # step t at which the flipped sign shows up (1-based)
@@ -33,11 +32,11 @@ class SignFlip:
     to_sign: int
 
 
-@dataclass(eq=False)
+@record
 class SweepTable:
     order: list[str]
     cells: list[dict[str, SweepCell]]  # cells[t-1]: cause -> cell at step t
-    flips: list[SignFlip] = field(default_factory=list)
+    flips: list[SignFlip] = []
     mode: str = "noncausal"
 
     def cell(self, cause: str, step: int) -> SweepCell | None:

@@ -13,11 +13,11 @@ config maps to bit-identical data every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._record import record
 from .dataset import CauseMatrix, check_seed
 from .errors import ValidationError
 
@@ -46,7 +46,7 @@ def check_missing_rate(missing_rate: float) -> None:
         raise ValidationError("missing_rate must lie in [0, 1)")
 
 
-@dataclass(eq=False)
+@record
 class SyntheticConfig:
     n_units: int
     n_causes: int
@@ -108,7 +108,7 @@ class SyntheticConfig:
             )
 
 
-@dataclass(eq=False)
+@record
 class SyntheticTruth:
     """What `generate` drew; the parameters it drew from stay on the config."""
 

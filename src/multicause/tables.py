@@ -1,9 +1,10 @@
 """Plain-text report tables, and the one JSON encoder for every file.
 
 canonical_json writes every JSON file the package produces: reports,
-manifests, models, masks and synthetic truth. Result dataclasses go in
-as they are, field by field, and numpy arrays and scalars as their
-Python values, so no result spells out its JSON shape a second time.
+manifests, models, masks and synthetic truth. Result records (and stdlib
+dataclasses) go in as they are, field by field, and numpy arrays and
+scalars as their Python values, so no result spells out its JSON shape a
+second time.
 
 The effect table mirrors the classic regression summary layout: Mean,
 STD, p-value, then the 95% interval bounds under "[0.025" / "0.975]"
@@ -15,7 +16,7 @@ compared byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+import sys
 
 import numpy as np
 
@@ -124,9 +125,14 @@ def render_comparison_table(comparison: dict) -> str:
 
 
 def _plain(obj):
-    """One level of a value json cannot write: a dataclass or a numpy value."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """One level of a value json cannot write: a record, a dataclass or a numpy value."""
+    fields = getattr(type(obj), "_record_fields", None)
+    if fields is not None:
+        return {name: getattr(obj, name) for name in fields}
+    # a dataclass exists only once `dataclasses` is loaded; this never loads it
+    dataclasses = sys.modules.get("dataclasses")
+    if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")

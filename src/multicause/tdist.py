@@ -89,8 +89,6 @@ def _ln_beta(a: float, b: float) -> float:
 def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     # I_x(a, b) for a, b > 0; y = 1 - x, passed in so that a caller who knows
     # it better than 1 - x rounds to keeps ln x and ln y exact near 1 and 0
-    if x <= 0.0:
-        return 0.0
     if y <= 0.0:
         return 1.0
     ln_x = math.log(x) if x < 0.5 else math.log1p(-y)

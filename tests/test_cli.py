@@ -329,6 +329,32 @@ def test_non_finite_outcome_is_rejected_at_load(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["effects", "fit-ppca"])
+def test_a_single_cause_cannot_be_held_out(command, tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "one.csv"
+    rows = (f"u{i},{c},{y}" for i, (c, y) in enumerate(rng.standard_normal((50, 2))))
+    data.write_text("\n".join(["id,c1,y", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert run(command, "--input", data, "--outcome", "y", "--seed", 0, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(
+        "error [dataset] holdout requires at least 2 cause columns\n"
+    )
+    assert not out.exists()
+
+
+def test_header_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path, capsys):
+    # csv raises on the header itself; a NUL byte no longer does on Python 3.11+
+    data = tmp_path / "long.csv"
+    data.write_text(f"id,{'c' * 131_073},y\nu0,1,2\nu1,2,3\n")
+    out = tmp_path / "out"
+    assert run("effects", "--input", data, "--outcome", "y", "--seed", 0, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(
+        "error [dataset] line 1: field larger than field limit (131072)\n"
+    )
+    assert not out.exists()
+
+
 def test_impute_takes_no_seed(sparse_data, tmp_path, capsys):
     # MICE is deterministic, so impute has no seed to set
     with pytest.raises(SystemExit) as exc:
@@ -847,8 +873,18 @@ NARROW_MODEL = {  # a valid K=1 model on 4 causes, with no "columns" to compare 
         ("{not json", "error [cli] bad model file: "),
         # the model's own width check, made where the model is applied
         (NARROW_MODEL, "error [ppca] matrix width disagrees with the model\n"),
+        # the model's own guards, made as the model is built from the file
+        ({**NARROW_MODEL, "loadings": [1.0] * 4}, "error [ppca] loadings must be a D x K matrix\n"),
+        ({**NARROW_MODEL, "K": 2}, "error [ppca] loadings width disagrees with K\n"),
+        ({**NARROW_MODEL, "loadings": [[1.0]], "mean": [0.0]}, "error [ppca] need 1 <= K < D\n"),
+        ({**NARROW_MODEL, "mean": [0.0] * 3}, "error [ppca] mean length disagrees with loadings\n"),
+        ({**NARROW_MODEL, "noise_variance": 0.0},
+         "error [ppca] noise variance must be strictly positive\n"),
     ],
-    ids=["absent", "not-json", "width-differs-without-columns"],
+    ids=[
+        "absent", "not-json", "width-differs-without-columns", "loadings-not-2d",
+        "k-differs-from-width", "k-not-below-d", "mean-length-differs", "noise-not-positive",
+    ],
 )
 def test_check_refuses_a_bad_model_file(model, message, flip_data, fit_dir, tmp_path, capsys):
     path = tmp_path / "model.json"

@@ -636,6 +636,7 @@ def incomplete_stages():
         "estimate_effects_noncausal": lambda m: estimate_effects_noncausal(m, y),
         "fit_ppca": lambda m: fit_ppca(m, 1),
         "posterior_mean_partial": lambda m: posterior_mean_partial(model, m, mask),
+        "posterior_mean_partial-unmasked": lambda m: posterior_mean_partial(model, m),
         "predictive_check": lambda m: predictive_check(model, m, mask),
     }
 

@@ -4,9 +4,10 @@ The benchmark harness wraps the functions of the submodules that are loaded
 once `import multicause` returns, so the package import must load them all.
 The README's library example is run as written, so the documented API
 cannot drift from the code. The fitting commands, `compare-predictive`
-included, must not load `numpy.random` or OpenSSL's hashlib: each costs
-every run memory and start time that a mask, an EM start, a shuffle split
-and one digest do not need. Only `synth` draws from `numpy.random`.
+included, must not load `numpy.random`, OpenSSL's hashlib or `dataclasses`:
+each costs every run memory and start time that a mask, an EM start, a
+shuffle split, one digest and the package's records do not need. Only
+`synth` draws from `numpy.random`.
 """
 
 import json
@@ -47,7 +48,7 @@ def test_import_loads_every_submodule_but_cli():
     assert _python(probe).split() == expected
 
 
-HEAVY = ("numpy.random", "hashlib", "_hashlib")
+HEAVY = ("numpy.random", "hashlib", "_hashlib", "dataclasses")
 
 
 def test_fitting_commands_load_neither_numpy_random_nor_hashlib(tmp_path):

@@ -304,22 +304,6 @@ def test_fit_rejects_stop_rule_settings_out_of_range(setting):
         fit_ppca(m, 2, **setting)
 
 
-def test_missing_data_is_rejected_everywhere():
-    vals = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 0.0], [0.5, 0.5, 0.5]])
-    m = CauseMatrix(vals, ["a", "b", "c"], ["u0", "u1", "u2"])
-    with pytest.raises(ValidationError):
-        fit_ppca(m, 1)
-    model = PpcaModel(
-        loadings=np.array([[1.0], [0.5], [0.2]]),
-        mean=np.zeros(3),
-        noise_variance=1.0,
-        k=1,
-        log_likelihood=0.0,
-    )
-    with pytest.raises(ValidationError):
-        posterior_mean_partial(model, m)
-
-
 def test_model_serialization_round_trip():
     m, _ = sample_ppca(200, W_TRUE, 0.3, seed=22)
     model = fit_ppca(m, 2, seed=0)

@@ -46,6 +46,9 @@ def test_p_value_symmetry_and_extremes():
     assert t_two_sided_p(1e9, 5.0) < 1e-40
     # t^2 overflows to inf: the tail is 0, not NaN from inf / inf
     assert t_two_sided_p(1e200, 5.0) == 0.0
+    # t^2 still finite, near the largest float: the tail is scipy's, not 0
+    ref = float(2.0 * stats.t.sf(1e154, 1.0))
+    assert t_two_sided_p(1e154, 1.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_cdf_matches_scipy():
@@ -73,6 +76,8 @@ def test_quantile_round_trips_cdf():
 def test_bad_dof_rejected():
     with pytest.raises(NumericError):
         t_two_sided_p(1.0, 0.0)
+    with pytest.raises(NumericError, match="^t statistic is NaN$"):
+        t_two_sided_p(math.nan, 5.0)
     with pytest.raises(NumericError):
         t_quantile(0.9, -2.0)
     with pytest.raises(NumericError):
